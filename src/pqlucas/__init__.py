@@ -12,10 +12,8 @@ it as the ``pqlucas`` command.
 """
 
 from .series import (
-    DEFAULT_ORDER,
     FunctionSpec,
     TruncatedSeries,
-    alexander_transform,
     compose,
     derivative,
     pow_real,
@@ -66,10 +64,8 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_ORDER",
     "FunctionSpec",
     "TruncatedSeries",
-    "alexander_transform",
     "compose",
     "derivative",
     "pow_real",

@@ -33,7 +33,7 @@ report carries a flag saying which branch the variant would have picked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .bioperator import ClassParams
 
@@ -42,28 +42,18 @@ UNBOUNDED = math.inf
 THETA_TOL = 1e-12
 BOUNDARY_TOL = 1e-12
 
-REGIMES = ("case1", "case2", "boundary", "degenerate")
-
-PRESET_NAMES = ("caglar", "srivastava", "bistarlike", "mu1")
-
-_PRESET_PINS: dict[str, dict[str, float]] = {
+PRESET_PINS: dict[str, dict[str, float]] = {
     "caglar": {"delta": 0.0},
     "srivastava": {"lam": 1.0, "mu": 1.0, "delta": 0.0},
     "bistarlike": {"lam": 1.0, "mu": 0.0, "delta": 0.0},
     "mu1": {"mu": 1.0},
 }
 
+PRESET_NAMES = tuple(PRESET_PINS)
+
 
 class DegenerateDenominatorError(ValueError):
     """A vanishing denominator makes the requested quantity undefined."""
-
-
-def theta(params: ClassParams, p: float, q: float) -> float:
-    """The shared denominator of the squared-coefficient identities."""
-    mass = (params.mu + 2.0 * params.lam) * (
-        1.0 + params.mu + 12.0 * params.delta / (2.0 * params.lam + 1.0)
-    )
-    return mass * p * p - 2.0 * params.c1**2 * (p * p + 2.0 * q)
 
 
 def _theta_terms(params: ClassParams, p: float, q: float) -> tuple[float, float]:
@@ -71,6 +61,12 @@ def _theta_terms(params: ClassParams, p: float, q: float) -> tuple[float, float]
         1.0 + params.mu + 12.0 * params.delta / (2.0 * params.lam + 1.0)
     )
     return mass * p * p, 2.0 * params.c1**2 * (p * p + 2.0 * q)
+
+
+def theta(params: ClassParams, p: float, q: float) -> float:
+    """The shared denominator of the squared-coefficient identities."""
+    t1, t2 = _theta_terms(params, p, q)
+    return t1 - t2
 
 
 def theta_is_zero(params: ClassParams, p: float, q: float) -> bool:
@@ -84,13 +80,16 @@ class BoundInputs:
     """A bound evaluation point: parameters plus ``p``, ``q`` and ``upsilon``.
 
     ``upsilon`` is the Fekete-Szego weight; the pure coefficient bounds
-    ignore it.
+    ignore it.  ``theta`` and ``theta_zero`` are derived once, here; a
+    point whose ``theta`` overflows is rejected like a non-finite input.
     """
 
     params: ClassParams
     p: float
     q: float
     upsilon: float = 1.0
+    theta: float = field(init=False, compare=False, repr=False)
+    theta_zero: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("p", "q", "upsilon"):
@@ -98,22 +97,11 @@ class BoundInputs:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, value)
-
-    @property
-    def l1(self) -> float:
-        return self.p
-
-    @property
-    def l2(self) -> float:
-        return self.p * self.p + 2.0 * self.q
-
-    @property
-    def theta(self) -> float:
-        return theta(self.params, self.p, self.q)
-
-    @property
-    def theta_zero(self) -> bool:
-        return theta_is_zero(self.params, self.p, self.q)
+        th = theta(self.params, self.p, self.q)
+        if not math.isfinite(th):
+            raise ValueError("theta must be finite: p(x) or q(x) is too large")
+        object.__setattr__(self, "theta", th)
+        object.__setattr__(self, "theta_zero", theta_is_zero(self.params, self.p, self.q))
 
     @property
     def upsilon_x(self) -> float | None:
@@ -254,9 +242,9 @@ def preset(name: str, **overrides: float) -> ClassParams:
     ``mu = 1``, ``delta = 0``, ``alpha = 0``); overriding a pinned field is
     an error, as is an unknown tag.
     """
-    if name not in _PRESET_PINS:
+    if name not in PRESET_PINS:
         raise ValueError(f"unknown preset tag: {name!r}")
-    pins = _PRESET_PINS[name]
+    pins = PRESET_PINS[name]
     unknown = set(overrides) - {"lam", "mu", "delta", "alpha"}
     if unknown:
         raise ValueError(f"unknown parameter overrides: {sorted(unknown)}")

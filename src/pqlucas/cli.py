@@ -23,7 +23,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import statistics
 import sys
@@ -40,14 +39,14 @@ from .bioperator import (
 from .bounds import (
     BoundInputs,
     PRESET_NAMES,
+    PRESET_PINS,
     bound_a2,
     bound_a3,
     fekete_szego_bound,
-    preset,
 )
 from .lucas import PolyPair, eval_poly, generating_series, lucas_sequence
-from .oracle import FUNCTIONALS, MODES, random_inputs, verify_bounds
-from .series import FunctionSpec, to_json_coeffs
+from .oracle import FUNCTIONALS, MODES, draw_params, random_inputs, verify_bounds
+from .series import FunctionSpec, to_json_coeffs, to_json_number
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -134,6 +133,14 @@ def _emit(text: str, out: str | None) -> int:
     return EXIT_OK
 
 
+def _emit_verdict(text: str, out: str | None, passed: bool) -> int:
+    """Write the output, then exit 0 on a pass and 1 on a failed check."""
+    code = _emit(text, out)
+    if code != EXIT_OK:
+        return code
+    return EXIT_OK if passed else EXIT_VERIFY_FAILED
+
+
 def _csv_text(columns: tuple[str, ...], rows: list[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
@@ -144,12 +151,6 @@ def _csv_text(columns: tuple[str, ...], rows: list[list]) -> str:
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
-
-
-def _real(value: complex) -> float | list[float]:
-    if value.imag == 0.0:
-        return value.real
-    return [value.real, value.imag]
 
 
 # ----------------------------------------------------------------- lucas
@@ -180,10 +181,7 @@ def cmd_lucas(ns: argparse.Namespace) -> int:
         text = _json_text(payload)
     else:
         text = _csv_text(("k", "lucas_recurrence", "lucas_series", "abs_diff"), rows)
-    code = _emit(text, ns.out)
-    if code != EXIT_OK:
-        return code
-    return EXIT_OK if worst <= ns.tol else EXIT_VERIFY_FAILED
+    return _emit_verdict(text, ns.out, worst <= ns.tol)
 
 
 # -------------------------------------------------------------- operator
@@ -198,10 +196,10 @@ def _identity_payload(params: ClassParams, f: FunctionSpec, tol: float) -> dict:
         "a2": f.coefficient(2),
         "a3": f.coefficient(3),
         "series": to_json_coeffs(direct),
-        "coeff_z": _real(report.pipeline[0]),
-        "coeff_z2": _real(report.pipeline[1]),
-        "coeff_w": _real(report.pipeline[2]),
-        "coeff_w2": _real(report.pipeline[3]),
+        "coeff_z": to_json_number(report.pipeline[0]),
+        "coeff_z2": to_json_number(report.pipeline[1]),
+        "coeff_w": to_json_number(report.pipeline[2]),
+        "coeff_w2": to_json_number(report.pipeline[3]),
         "closed_forms": list(report.closed_form),
         "residuals": list(report.residuals),
         "max_residual": report.max_residual,
@@ -219,9 +217,7 @@ def cmd_operator(ns: argparse.Namespace) -> int:
             rng = np.random.default_rng(ns.seed)
             rows = []
             for _ in range(ns.draws):
-                params = ClassParams(
-                    rng.uniform(1.0, 3.0), rng.uniform(0.0, 3.0), rng.uniform(0.0, 2.0)
-                )
+                params = draw_params(rng)
                 f = FunctionSpec((rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)))
                 rows.append(_identity_payload(params, f, ns.tol))
             all_pass = all(r["pass"] for r in rows)
@@ -229,10 +225,7 @@ def cmd_operator(ns: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    code = _emit(_json_text(payload), ns.out)
-    if code != EXIT_OK:
-        return code
-    return EXIT_OK if all_pass else EXIT_VERIFY_FAILED
+    return _emit_verdict(_json_text(payload), ns.out, all_pass)
 
 
 # ---------------------------------------------------------------- member
@@ -258,10 +251,7 @@ def cmd_member(ns: argparse.Namespace) -> int:
         "n_points": report.n_evaluated,
         "flagged_points": [[w.real, w.imag] for w in report.flagged],
     }
-    code = _emit(_json_text(payload), ns.out)
-    if code != EXIT_OK:
-        return code
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
+    return _emit_verdict(_json_text(payload), ns.out, report.passed)
 
 
 # --------------------------------------------------------- bounds/fekete
@@ -269,27 +259,19 @@ def cmd_member(ns: argparse.Namespace) -> int:
 def _apply_preset(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     if not ns.preset:
         return
-    pinned = preset(ns.preset)
-    pins = {
-        "caglar": ("delta",),
-        "srivastava": ("lam", "mu", "delta"),
-        "bistarlike": ("lam", "mu", "delta"),
-        "mu1": ("mu",),
-    }[ns.preset]
-    for name in pins:
-        flag = {"lam": "--lambda", "mu": "--mu", "delta": "--delta"}[name]
-        given = getattr(ns, f"{name}_given", False)
-        if given:
+    for name, value in PRESET_PINS[ns.preset].items():
+        flag = getattr(ns, f"{name}_given", None)
+        if flag:
             parser.error(f"--preset {ns.preset} pins {flag}")
-        setattr(ns, name, (getattr(pinned, name),))
+        setattr(ns, name, (value,))
 
 
 class _TrackedRange(argparse.Action):
-    """Stores the parsed range and remembers that it was given explicitly."""
+    """Stores the parsed range and remembers the flag that gave it explicitly."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         setattr(namespace, self.dest, values)
-        setattr(namespace, f"{self.dest}_given", True)
+        setattr(namespace, f"{self.dest}_given", option_string)
 
 
 def cmd_table(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -306,7 +288,10 @@ def cmd_table(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                     p = eval_poly(ns.p, x)
                     q = eval_poly(ns.q, x)
                     for upsilon in ns.upsilon:
-                        inputs = BoundInputs(params, p, q, upsilon)
+                        try:
+                            inputs = BoundInputs(params, p, q, upsilon)
+                        except ValueError as exc:
+                            parser.error(str(exc))
                         r2 = bound_a2(inputs)
                         r3 = bound_a3(inputs)
                         fs = fekete_szego_bound(inputs)
@@ -340,6 +325,9 @@ def cmd_table(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 def cmd_verify(ns: argparse.Namespace) -> int:
     if ns.draws < 1:
         print("error: verify needs --draws >= 1", file=sys.stderr)
+        return EXIT_USAGE
+    if ns.grid_n < 2:
+        print("error: verify needs --grid-n >= 2", file=sys.stderr)
         return EXIT_USAGE
     rng = np.random.default_rng(ns.seed)
     try:
@@ -404,10 +392,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
             )
         lines.append(f"RESULT: {'PASS' if all_pass else 'FAIL'}")
         text = "\n".join(lines) + "\n"
-    code = _emit(text, ns.out)
-    if code != EXIT_OK:
-        return code
-    return EXIT_OK if all_pass else EXIT_VERIFY_FAILED
+    return _emit_verdict(text, ns.out, all_pass)
 
 
 # ----------------------------------------------------------------- parser

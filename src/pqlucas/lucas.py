@@ -56,28 +56,12 @@ class PolyPair:
     def q(self) -> float:
         return eval_poly(self.q_coeffs, self.x)
 
-    @property
-    def lucas_l0(self) -> float:
-        return 2.0
-
-    @property
-    def lucas_l1(self) -> float:
-        return self.p
-
-    @property
-    def lucas_l2(self) -> float:
-        return self.p * self.p + 2.0 * self.q
-
 
 @dataclass(frozen=True)
 class LucasSequence:
     """Values ``(L_0, ..., L_K)`` of a (p,q)-Lucas sequence."""
 
     values: tuple[float, ...]
-
-    @property
-    def k_max(self) -> int:
-        return len(self.values) - 1
 
     def __getitem__(self, k: int) -> float:
         return self.values[k]

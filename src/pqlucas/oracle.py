@@ -41,7 +41,6 @@ from . import bounds as bnd
 from .bounds import BoundInputs, DegenerateDenominatorError
 from .bioperator import ClassParams
 
-FUNCTIONALS = ("abs_a2", "abs_a3", "fekete")
 MODES = ("paper", "schwarz")
 
 _BOX_TOL = 1e-12
@@ -69,12 +68,6 @@ class SchwarzSample:
     def free(cls, r1: float, r2: float, s2: float) -> "SchwarzSample":
         return cls(r1, r2, -r1, s2)
 
-    def within_schwarz_cap(self) -> bool:
-        """True when the sharper second-coefficient caps also hold."""
-        cap_r = 1.0 - self.r1 * self.r1
-        cap_s = 1.0 - self.s1 * self.s1
-        return abs(self.r2) <= cap_r + _BOX_TOL and abs(self.s2) <= cap_s + _BOX_TOL
-
 
 @dataclass(frozen=True)
 class ReconstructedPair:
@@ -92,53 +85,64 @@ class ReconstructedPair:
     a2_linear: float
 
 
+def _a2_sq(inputs: BoundInputs, r2, s2):
+    return inputs.p**3 * (r2 + s2) / inputs.theta
+
+
+def _r2_minus_s2_term(inputs: BoundInputs, r2, s2):
+    return inputs.p * (r2 - s2) / (2.0 * inputs.params.c2)
+
+
+def _abs_a2(inputs: BoundInputs, r1, r2, s2):
+    return np.sqrt(np.abs(_a2_sq(inputs, r2, s2)))
+
+
+def _a3(inputs: BoundInputs, r1, r2, s2):
+    p = inputs.p
+    c1 = inputs.params.c1
+    return p * p * r1 * r1 / (c1 * c1) + _r2_minus_s2_term(inputs, r2, s2)
+
+
+def _fekete(inputs: BoundInputs, r1, r2, s2):
+    # Not (1 - u) * _a2_sq(...), which rounds differently in the last bit.
+    head = (1.0 - inputs.upsilon) * inputs.p**3 * (r2 + s2) / inputs.theta
+    return head + _r2_minus_s2_term(inputs, r2, s2)
+
+
+# name -> (value at (r1, r2, s2) with s1 = -r1, name of its bound in bounds).
+# Bounds are looked up on the module, so a rebound bounds.bound_a2 is seen.
+_FUNCTIONAL_TABLE = {
+    "abs_a2": (_abs_a2, "bound_a2"),
+    "abs_a3": (_a3, "bound_a3"),
+    "fekete": (_fekete, "fekete_szego_bound"),
+}
+
+FUNCTIONALS = tuple(_FUNCTIONAL_TABLE)
+
+
+def _functional(name: str):
+    try:
+        return _FUNCTIONAL_TABLE[name]
+    except KeyError:
+        raise ValueError(f"unknown functional: {name!r}") from None
+
+
 def reconstruct(inputs: BoundInputs, sample: SchwarzSample) -> ReconstructedPair:
     """Rebuild ``(a2, a3)`` data from one sample of the constraint box."""
     if inputs.theta_zero:
         raise DegenerateDenominatorError("reconstruction degenerate: theta = 0")
-    p = inputs.p
-    c1 = inputs.params.c1
-    c2 = inputs.params.c2
-    a2_sq = p**3 * (sample.r2 + sample.s2) / inputs.theta
-    a3 = p * p * (sample.r1**2 + sample.s1**2) / (2.0 * c1 * c1) + p * (
-        sample.r2 - sample.s2
-    ) / (2.0 * c2)
+    a2_sq = _a2_sq(inputs, sample.r2, sample.s2)
     return ReconstructedPair(
         a2_sq=a2_sq,
         a2_abs=math.sqrt(abs(a2_sq)),
-        a3=a3,
-        a2_linear=p * sample.r1 / c1,
+        a3=_a3(inputs, sample.r1, sample.r2, sample.s2),
+        a2_linear=inputs.p * sample.r1 / inputs.params.c1,
     )
-
-
-def _functional_values(
-    inputs: BoundInputs, functional: str, r1: float, r2: np.ndarray, s2: np.ndarray
-) -> np.ndarray:
-    p = inputs.p
-    th = inputs.theta
-    c1 = inputs.params.c1
-    c2 = inputs.params.c2
-    if functional == "abs_a2":
-        return np.sqrt(np.abs(p**3 * (r2 + s2) / th))
-    if functional == "abs_a3":
-        return np.abs(p * p * r1 * r1 / (c1 * c1) + p * (r2 - s2) / (2.0 * c2))
-    if functional == "fekete":
-        return np.abs(
-            (1.0 - inputs.upsilon) * p**3 * (r2 + s2) / th
-            + p * (r2 - s2) / (2.0 * c2)
-        )
-    raise ValueError(f"unknown functional: {functional!r}")
 
 
 def closed_form_bound(inputs: BoundInputs, functional: str) -> float:
     """The matching closed-form bound value for a functional."""
-    if functional == "abs_a2":
-        return bnd.bound_a2(inputs).value
-    if functional == "abs_a3":
-        return bnd.bound_a3(inputs).value
-    if functional == "fekete":
-        return bnd.fekete_szego_bound(inputs).value
-    raise ValueError(f"unknown functional: {functional!r}")
+    return getattr(bnd, _functional(functional)[1])(inputs).value
 
 
 @dataclass(frozen=True)
@@ -184,8 +188,7 @@ def sweep_max(
     suprema on those corners.  The reduction is deterministic: ties resolve
     to the lexicographically smallest ``(r1, r2, s2)``.
     """
-    if functional not in FUNCTIONALS:
-        raise ValueError(f"unknown functional: {functional!r}")
+    value_at = _functional(functional)[0]
     if mode not in MODES:
         raise ValueError(f"unknown mode: {mode!r}")
     if grid_n < 2:
@@ -200,7 +203,7 @@ def sweep_max(
         r2_vals = np.linspace(-cap, cap, grid_n)
         s2_vals = np.linspace(-cap, cap, grid_n)
         r2_grid, s2_grid = np.meshgrid(r2_vals, s2_vals, indexing="ij")
-        values = _functional_values(inputs, functional, float(r1), r2_grid, s2_grid)
+        values = np.abs(value_at(inputs, float(r1), r2_grid, s2_grid))
         flat = int(np.argmax(values))  # first max in C order = lexicographic
         value = float(values.flat[flat])
         if value > best_value:
@@ -243,6 +246,12 @@ def verify_bounds(
     return VerificationReport(inputs, reports, tolerance, passes)
 
 
+def draw_params(rng: np.random.Generator) -> ClassParams:
+    """Operator parameters uniform over ``lam in [1,3]``, ``mu in [0,3]``
+    and ``delta in [0,2]``, drawn in that order."""
+    return ClassParams(rng.uniform(1.0, 3.0), rng.uniform(0.0, 3.0), rng.uniform(0.0, 2.0))
+
+
 def random_inputs(
     rng: np.random.Generator,
     count: int,
@@ -253,8 +262,8 @@ def random_inputs(
 ) -> list[BoundInputs]:
     """Draw nondegenerate evaluation points for verification sweeps.
 
-    Parameters are uniform over ``lam in [1,3]``, ``mu in [0,3]``,
-    ``delta in [0,2]``, ``p, q in [-2,2]`` and ``upsilon in [-1,3]``;
+    Parameters come from :func:`draw_params`; ``p, q`` are uniform over
+    ``[-2,2]`` and ``upsilon`` over ``[-1,3]``;
     draws with ``|p| < p_min`` or ``|theta| < theta_min`` are rejected so
     that every returned point is safely away from the degenerate set.  The
     sequence is fully determined by the generator state.
@@ -263,15 +272,13 @@ def random_inputs(
     for _ in range(max_tries):
         if len(out) >= count:
             break
-        lam = rng.uniform(1.0, 3.0)
-        mu = rng.uniform(0.0, 3.0)
-        delta = rng.uniform(0.0, 2.0)
+        params = draw_params(rng)
         p = rng.uniform(-2.0, 2.0)
         q = rng.uniform(-2.0, 2.0)
         upsilon = rng.uniform(-1.0, 3.0)
         if abs(p) < p_min:
             continue
-        inputs = BoundInputs(ClassParams(lam, mu, delta), p, q, upsilon)
+        inputs = BoundInputs(params, p, q, upsilon)
         if abs(inputs.theta) < theta_min:
             continue
         out.append(inputs)

@@ -10,7 +10,7 @@ ever reported when every input carried enough information to determine it.
 The module also defines :class:`FunctionSpec`, a compact description of a
 normalized analytic function ``f(z) = z + a2 z^2 + ... + aM z^M`` (the
 shape every coefficient problem in this package starts from), plus the
-compositional inverse and the Alexander integral transform on such specs.
+compositional inverse of such specs.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-DEFAULT_ORDER = 10
 
 # Preconditions on constant terms are checked against small absolute
 # tolerances so that series produced by prior float arithmetic still pass.
@@ -48,31 +46,6 @@ class TruncatedSeries:
         if not 0 <= k <= self.order:
             raise IndexError(f"coefficient {k} outside truncation order {self.order}")
         return self.coeffs[k]
-
-    def __getitem__(self, k: int) -> complex:
-        return self.coefficient(k)
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return add(self, other)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return mul(self, other)
-        if isinstance(other, (int, float, complex)):
-            return scale(self, other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "TruncatedSeries":
-        return scale(self, -1.0)
 
 
 def series(coeffs: Sequence[complex], order: int | None = None) -> TruncatedSeries:
@@ -276,17 +249,13 @@ def revert_series(f: FunctionSpec, m: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(g))
 
 
-def alexander_transform(f: FunctionSpec) -> FunctionSpec:
-    """Alexander integral transform: divides each ``a_n`` by ``n``."""
-    return FunctionSpec(tuple(v / (k + 2) for k, v in enumerate(f.a)))
+def to_json_number(c: complex) -> float | list[float]:
+    """A JSON-friendly complex number: a float when real, else ``[re, im]``."""
+    if c.imag == 0.0:
+        return c.real
+    return [c.real, c.imag]
 
 
 def to_json_coeffs(s: TruncatedSeries) -> list:
     """JSON-friendly coefficient list: floats, or ``[re, im]`` pairs."""
-    out: list = []
-    for c in s.coeffs:
-        if c.imag == 0.0:
-            out.append(c.real)
-        else:
-            out.append([c.real, c.imag])
-    return out
+    return [to_json_number(c) for c in s.coeffs]

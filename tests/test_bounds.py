@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pqlucas.bioperator import ClassParams
+from pqlucas.lucas import PolyPair, lucas_sequence
 from pqlucas.bounds import (
     BoundInputs,
     DegenerateDenominatorError,
@@ -48,10 +49,11 @@ class TestTheta:
 class TestBoundInputs:
     def test_defaults_and_derived(self):
         inputs = BoundInputs(BISTAR, p=2.0, q=1.0)
+        _, l1, l2 = lucas_sequence(PolyPair((2.0,), (1.0,), 0.0), 2).values
         assert inputs.upsilon == 1.0
-        assert inputs.l1 == 2.0
-        assert inputs.l2 == 6.0
-        assert inputs.theta == -4.0
+        # theta = mass L1^2 - 2 c1^2 L2, with mass = 2 and c1 = 1 here
+        assert inputs.theta == 2.0 * l1 * l1 - 2.0 * l2 == -4.0
+        assert inputs.theta_zero is False
         assert inputs.upsilon_x == -2.0
 
     def test_upsilon_x_none_at_p_zero(self):
@@ -60,6 +62,11 @@ class TestBoundInputs:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             BoundInputs(BISTAR, p=math.inf, q=1.0)
+
+    def test_rejects_overflowing_theta(self):
+        # p^2 overflows, so theta would be inf - inf = nan
+        with pytest.raises(ValueError, match="theta must be finite"):
+            BoundInputs(preset("caglar"), p=1e200, q=1.0)
 
 
 class TestBoundA2:

@@ -4,10 +4,14 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from pqlucas.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, TABLE_COLUMNS, main
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, argv):
@@ -180,6 +184,35 @@ class TestBoundsTable:
         assert exc.value.code == EXIT_USAGE
         assert "pins --mu" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["bounds", "fekete"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--upsilon", "nan"], ["--upsilon", "inf"], ["--p", "nan"], ["--q", "nan"],
+         ["--x", "nan"], ["--x", "1e200"]],
+    )
+    def test_non_finite_input_is_usage_error(self, capsys, command, flags):
+        # --x 1e200 overflows p^2, so theta itself is not finite
+        with pytest.raises(SystemExit) as exc:
+            main([command, *flags])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "must be finite" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (["bounds", "--preset", "caglar", "--lambda", "1:2:3", "--mu", "0:1:3",
+              "--x", "0:1:3"], "bounds_caglar.csv"),
+            (["fekete", "--preset", "bistarlike", "--format", "json", "--q=-0.5,1",
+              "--x", "0:1:3", "--upsilon", "0:2:3"], "fekete_bistarlike.json"),
+        ],
+    )
+    def test_preset_output_bytes(self, capsys, argv, golden):
+        code, out, _ = run(capsys, argv)
+        assert code == EXIT_OK
+        assert out == (GOLDEN / golden).read_bytes().decode("utf-8")
+
     def test_malformed_range(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bounds", "--upsilon", "0:3"])
@@ -249,6 +282,13 @@ class TestVerify:
         code, _, err = run(capsys, ["verify", "--draws", "0"])
         assert code == EXIT_USAGE
         assert "--draws >= 1" in err
+
+    @pytest.mark.parametrize("grid_n", ["1", "0", "-3"])
+    def test_small_grid_rejected(self, capsys, grid_n):
+        code, out, err = run(capsys, ["verify", "--draws", "2", f"--grid-n={grid_n}"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--grid-n >= 2" in err
 
     def test_schwarz_mode(self, capsys):
         code, out, _ = run(

@@ -27,14 +27,12 @@ class TestPolyPair:
         pair = PolyPair((0.0, 1.0), (1.0,), 1.0)  # p(x)=x, q(x)=1 at x=1
         assert pair.p == 1.0
         assert pair.q == 1.0
-        assert pair.lucas_l0 == 2.0
-        assert pair.lucas_l1 == 1.0
-        assert pair.lucas_l2 == 3.0
+        assert lucas_sequence(pair, 2).values == (2.0, 1.0, 3.0)
 
     def test_quadratic_term_is_exact(self):
         pair = PolyPair((0.0, 2.0), (0.0, 0.0, 1.0), 1.5)  # p=2x, q=x^2
         p, q = 3.0, 2.25
-        assert pair.lucas_l2 == p * p + 2 * q
+        assert lucas_sequence(pair, 2)[2] == p * p + 2 * q
 
     def test_rejects_non_finite_evaluation(self):
         with pytest.raises(ValueError):
@@ -102,5 +100,6 @@ class TestGeneratingSeries:
         r1, r2 = 0.6, -0.2
         inner = ps.series([0.0, r1, r2])
         out = ps.compose(generating_series(pair, 2), inner)
-        want = pair.lucas_l1 * r2 + pair.lucas_l2 * r1 * r1
+        seq = lucas_sequence(pair, 2)
+        want = seq[1] * r2 + seq[2] * r1 * r1
         assert abs(out.coefficient(2) - want) <= 1e-12

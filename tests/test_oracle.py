@@ -36,10 +36,6 @@ class TestSchwarzSample:
         with pytest.raises(ValueError, match="s1 must equal -r1"):
             SchwarzSample(0.5, 0.0, 0.5, 0.0)
 
-    def test_schwarz_cap(self):
-        assert SchwarzSample.free(0.5, 0.5, -0.5).within_schwarz_cap()
-        assert not SchwarzSample.free(0.8, 0.9, 0.0).within_schwarz_cap()
-
 
 class TestReconstruct:
     def test_zero_sample(self):

@@ -66,14 +66,6 @@ class TestBasics:
         one = ps.series([1.0], order=2)
         assert max_abs_diff(ps.mul(s, one), s) == 0.0
 
-    def test_dunder_arithmetic_matches_functions(self):
-        s = ps.series([1.0, 2.0])
-        t = ps.series([0.5, -1.0])
-        assert (s + t).coeffs == ps.add(s, t).coeffs
-        assert (s * t).coeffs == ps.mul(s, t).coeffs
-        assert (2.0 * s).coeffs == ps.scale(s, 2.0).coeffs
-        assert (-s).coeffs == ps.scale(s, -1.0).coeffs
-
 
 class TestDerivative:
     def test_termwise_rule(self):
@@ -229,20 +221,6 @@ class TestFunctionSpec:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             FunctionSpec((math.inf,))
-
-
-class TestAlexanderTransform:
-    def test_divides_by_index(self):
-        f = ps.alexander_transform(FunctionSpec((1.0, 1.0)))
-        assert f.a == (0.5, 1.0 / 3.0)
-
-    def test_linear_coefficient_normalizer(self):
-        # a_n = n maps to the constant tail a_n = 1
-        f = ps.alexander_transform(FunctionSpec((2.0, 3.0, 4.0)))
-        assert f.a == (1.0, 1.0, 1.0)
-
-    def test_empty_function_passes_through(self):
-        assert ps.alexander_transform(FunctionSpec(())).a == ()
 
 
 class TestRingAxioms:
