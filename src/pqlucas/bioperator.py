@@ -211,8 +211,9 @@ class MembershipReport:
     """Outcome of a sampled real-part check.
 
     ``passed`` means the real part stayed strictly above ``alpha`` at every
-    evaluated grid point.  Points with a vanishing denominator are excluded
-    from the minimum and listed in ``flagged``; a grid whose points are all
+    evaluated grid point.  Points with a vanishing denominator (in operator
+    mode, also every later point on the same ray) are excluded from the
+    minimum and listed in ``flagged``; a grid whose points are all
     flagged cannot certify anything and fails with ``min_real_part = inf``.
     A pass is sampled evidence on the chosen grid, not a proof.
     """
@@ -234,6 +235,27 @@ def _horner(coeffs: tuple[float, ...], z: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _radial_log(ratio: np.ndarray, grid: DiskGrid) -> np.ndarray:
+    """``log`` of ``ratio = f(z)/z`` on the grid, continued from ``z = 0``.
+
+    The principal ``np.log`` jumps by ``2 pi i`` wherever ``f/z`` winds past
+    the negative real axis.  Along each ray the argument is unwrapped from
+    its value 0 at the origin, where ``f/z = 1``, and the whole turns are
+    added only where they are nonzero, so a grid without winding keeps the
+    principal values bit for bit.  The continuation is as good as the ray
+    sampling: it reads every jump of more than ``pi`` between neighbouring
+    radii as a crossing of the cut.  Past a zero of ``f/z`` on a ray the
+    values are meaningless; the caller flags those points.
+    """
+    log_ratio = np.log(ratio)
+    arg = log_ratio.imag.reshape(grid.n_radii, grid.n_angles)
+    step = np.diff(arg, axis=0, prepend=0.0)
+    turns = -np.cumsum(np.rint(step / (2.0 * np.pi)), axis=0).ravel()
+    wound = turns != 0.0
+    log_ratio[wound] += 2j * np.pi * turns[wound]
+    return log_ratio
+
+
 def check_membership_realpart(
     params: ClassParams,
     f: FunctionSpec,
@@ -243,8 +265,10 @@ def check_membership_realpart(
     """Check ``Re(expr) > alpha`` on the grid, for the mode's expression.
 
     Modes: ``"operator"`` uses ``D[f](z)``, ``"starlike"`` uses
-    ``z f'(z)/f(z)``, ``"convex"`` uses ``1 + z f''(z)/f'(z)``.  The
-    minimum is an order-independent reduction, so any partition of the grid
+    ``z f'(z)/f(z)``, ``"convex"`` uses ``1 + z f''(z)/f'(z)``.  The real
+    powers of ``f/z`` in ``D[f]`` take the branch continued from ``z = 0``
+    along each ray of the grid, not the principal one, and a ray is flagged
+    from its first zero of ``f/z`` outwards.  The minimum is an order-independent reduction, so any partition of the grid
     yields the same report; ties pick the first point in (radius, angle)
     order.
     """
@@ -263,6 +287,11 @@ def check_membership_realpart(
     else:
         denom = fz / z  # the ratio raised to real powers below
     valid = np.abs(denom) >= _DENOMINATOR_TOL
+    if mode == "operator":
+        # Past a zero of f/z the branch continued along its ray is
+        # undetermined, so the rest of that ray is flagged as well.
+        rays = valid.reshape(grid.n_radii, grid.n_angles)
+        valid = np.logical_and.accumulate(rays, axis=0).ravel()
     zv = z[valid]
 
     with np.errstate(all="ignore"):
@@ -273,7 +302,7 @@ def check_membership_realpart(
             values = 1.0 + zv * _horner(d2, zv) / fpz[valid]
         else:
             d2 = tuple((k + 1) * (k + 2) * c for k, c in enumerate(coeffs[2:]))
-            log_ratio = np.log(denom[valid])
+            log_ratio = _radial_log(denom, grid)[valid]
             values = (
                 (1.0 - params.lam) * np.exp(params.mu * log_ratio)
                 + params.lam * fpz[valid] * np.exp((params.mu - 1.0) * log_ratio)

@@ -45,6 +45,12 @@ MODES = ("paper", "schwarz")
 
 _BOX_TOL = 1e-12
 
+# Grid points per sweep block (whole r1 rows, at least one).  Up to grid_n
+# 126 each float64 temporary of a block stays below 128 KiB, glibc's default
+# mmap threshold, so blocks reuse heap memory instead of mapping and
+# faulting in fresh pages on every call.
+_BLOCK_POINTS = 16_000
+
 
 @dataclass(frozen=True)
 class SchwarzSample:
@@ -177,16 +183,39 @@ class SupremumReport:
         }
 
 
+def _box_axes(grid_n: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """The ``r1`` values and, per ``r1``, the shared ``r2``/``s2`` axis.
+
+    Row ``k`` of the axis array is what ``np.linspace(-cap, cap, grid_n)``
+    gives for the scalar cap of ``r1_vals[k]``, bit for bit: the array form
+    of ``linspace`` switches every row to another rounding path as soon as
+    one step is 0, which the schwarz caps at ``r1 = +-1`` are.
+    """
+    r1_vals = np.linspace(-1.0, 1.0, grid_n)
+    caps = np.ones(grid_n) if mode == "paper" else 1.0 - r1_vals * r1_vals
+    step = (caps - -caps) / (grid_n - 1)
+    axis = np.arange(grid_n, dtype=float) * step[:, None] - caps[:, None]
+    axis[:, -1] = caps
+    return r1_vals, axis
+
+
 def sweep_max(
     inputs: BoundInputs, functional: str, grid_n: int = 21, mode: str = "paper"
 ) -> SupremumReport:
     """Maximize one functional over the constraint box on a dense grid.
 
-    Every axis is sampled with ``grid_n`` equispaced points including both
-    endpoints, so the corners of the box are always on the grid; all three
-    functionals are |affine| or even in each variable, which puts their true
-    suprema on those corners.  The reduction is deterministic: ties resolve
-    to the lexicographically smallest ``(r1, r2, s2)``.
+    ``r1`` takes ``grid_n`` equispaced values in ``[-1, 1]``, and ``r2`` and
+    ``s2`` take ``grid_n`` equispaced values in ``[-cap, cap]`` for the cap
+    at that ``r1``, endpoints included.  The corners ``r1 = +-1`` and
+    ``(r2, s2) = (+-cap, +-cap)`` are always on the grid; ``r1 = 0`` is on
+    it only for odd ``grid_n``.  All three functionals are |affine| in
+    ``(r2, s2)`` and in ``r1^2``, so their suprema over the box lie on the
+    corners with ``r1`` in ``{-1, 0, 1}``: an odd grid finds them exactly,
+    an even one may fall short in schwarz mode.
+
+    The whole grid is evaluated in blocks of ``r1`` rows, each block one
+    broadcast call of the functional.  Ties resolve to the lexicographically
+    smallest ``(r1, r2, s2)``.
     """
     value_at = _functional(functional)[0]
     if mode not in MODES:
@@ -196,20 +225,20 @@ def sweep_max(
     if inputs.theta_zero:
         raise DegenerateDenominatorError("sweep degenerate: theta = 0")
 
+    r1_vals, axis = _box_axes(grid_n, mode)
+    rows = max(1, _BLOCK_POINTS // (grid_n * grid_n))
     best_value = -math.inf
     best_key = (0.0, 0.0, 0.0)
-    for r1 in np.linspace(-1.0, 1.0, grid_n):
-        cap = 1.0 if mode == "paper" else 1.0 - float(r1) * float(r1)
-        r2_vals = np.linspace(-cap, cap, grid_n)
-        s2_vals = np.linspace(-cap, cap, grid_n)
-        r2_grid, s2_grid = np.meshgrid(r2_vals, s2_vals, indexing="ij")
-        values = np.abs(value_at(inputs, float(r1), r2_grid, s2_grid))
+    for lo in range(0, grid_n, rows):
+        r1 = r1_vals[lo : lo + rows, None, None]
+        block = axis[lo : lo + rows]
+        values = np.abs(value_at(inputs, r1, block[:, :, None], block[:, None, :]))
         flat = int(np.argmax(values))  # first max in C order = lexicographic
         value = float(values.flat[flat])
         if value > best_value:
-            i, j = divmod(flat, grid_n)
+            k, i, j = np.unravel_index(flat, values.shape)
             best_value = value
-            best_key = (float(r1), float(r2_vals[i]), float(s2_vals[j]))
+            best_key = (float(r1_vals[lo + k]), float(block[k, i]), float(block[k, j]))
     return SupremumReport(
         functional=functional,
         mode=mode,

@@ -277,6 +277,57 @@ class TestMembership:
         approx = sum(c * 0.2**k for k, c in enumerate(expansion.coeffs))
         assert abs(report.min_real_part - approx.real) <= 1e-6
 
+    # f = z (1 + z/1.05)^3: arg(f/z) passes pi inside the disk, so the
+    # principal log(f/z) puts 110 points of the default grid on the wrong
+    # branch of (f/z)^mu.
+    WINDING_F = FunctionSpec((3.0 / 1.05, 3.0 / 1.05**2, 1.0 / 1.05**3))
+
+    @staticmethod
+    def _winding_reference(params, z):
+        # Each power of f/z is exp(3 s log(1 + z/1.05)): no branch to choose.
+        w = z / 1.05
+        log1 = np.log1p(w)
+        fp = (1.0 + w) ** 2 * (1.0 + 4.0 * w)
+        fpp = 6.0 * (1.0 + w) * (1.0 + 2.0 * w) / 1.05
+        return (
+            (1.0 - params.lam) * np.exp(3.0 * params.mu * log1)
+            + params.lam * fp * np.exp(3.0 * (params.mu - 1.0) * log1)
+            + params.xi * params.delta * z * fpp
+        )
+
+    @pytest.mark.parametrize(
+        "grid",
+        [DiskGrid(), DiskGrid(r_max=0.95, n_radii=16, n_angles=18)],
+        ids=["default", "16x18"],
+    )
+    def test_operator_mode_continues_log_along_rays(self, grid):
+        # On the 16x18 grid the principal branch moved the minimum to
+        # another point; on the default grid it changed only non-minimal values.
+        params = ClassParams(1.0, 0.5, 0.0)
+        report = check_membership_realpart(params, self.WINDING_F, grid, mode="operator")
+        want = self._winding_reference(params, grid.points())
+        idx = int(np.argmin(want.real))
+        assert report.n_evaluated == grid.n_radii * grid.n_angles
+        assert abs(report.min_real_part - want.real[idx]) <= 1e-12
+        assert abs(report.worst_point - grid.points()[idx]) <= 1e-12
+
+    def test_operator_mode_flags_ray_past_zero_of_ratio(self):
+        # f = z (1 + 2z): f/z vanishes at z = -0.5, the 10th radius of the
+        # ray at angle pi, so that ray has no continued branch from there on.
+        params = ClassParams(1.0, 0.5, 0.0)
+        grid = DiskGrid(r_max=0.95, n_radii=19, n_angles=4)
+        report = check_membership_realpart(params, FunctionSpec((2.0,)), grid, mode="operator")
+        z = grid.points().reshape(19, 4)
+        cut = np.zeros(z.shape, dtype=bool)
+        cut[9:, 2] = True
+        assert report.flagged == tuple(complex(w) for w in z[cut])
+        assert report.n_evaluated == 76 - 10
+        zv = z[~cut]
+        want = (1.0 + 4.0 * zv) * np.exp(-0.5 * np.log1p(2.0 * zv))
+        idx = int(np.argmin(want.real))
+        assert abs(report.min_real_part - want.real[idx]) <= 1e-12
+        assert report.worst_point == zv[idx]
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown membership mode"):
             check_membership_realpart(ClassParams(1.0, 1.0, 0.0), FunctionSpec(()), mode="disk")

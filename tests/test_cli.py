@@ -238,6 +238,19 @@ class TestBoundsTable:
 
 
 class TestVerify:
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (["verify", "--draws", "8", "--grid-n", "41", "--seed", "1729"], "verify_paper.txt"),
+            (["verify", "--mode", "schwarz", "--format", "json", "--draws", "8",
+              "--grid-n", "41", "--seed", "1729"], "verify_schwarz.json"),
+        ],
+    )
+    def test_output_bytes(self, capsys, argv, golden):
+        code, out, _ = run(capsys, argv)
+        assert code == EXIT_OK
+        assert out == (GOLDEN / golden).read_bytes().decode("utf-8")
+
     def test_text_summary_passes(self, capsys):
         code, out, _ = run(capsys, ["verify", "--draws", "5", "--grid-n", "5", "--seed", "7"])
         assert code == EXIT_OK

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from pqlucas import oracle
 from pqlucas.bioperator import ClassParams, apply_operator
 from pqlucas.bounds import BoundInputs, DegenerateDenominatorError, preset
 from pqlucas.oracle import (
     FUNCTIONALS,
+    MODES,
     SchwarzSample,
     SupremumReport,
     closed_form_bound,
@@ -20,6 +23,49 @@ from pqlucas.oracle import (
 from pqlucas.series import FunctionSpec
 
 BISTAR_11 = BoundInputs(preset("bistarlike"), p=1.0, q=1.0)  # theta = -4
+
+
+def reference_sweep(inputs, functional, grid_n, mode):
+    """The sweep as one Python loop over r1 with scalar linspace axes."""
+    value_at = oracle._FUNCTIONAL_TABLE[functional][0]
+    best_value = -math.inf
+    best_key = (0.0, 0.0, 0.0)
+    for r1 in np.linspace(-1.0, 1.0, grid_n):
+        cap = 1.0 if mode == "paper" else 1.0 - float(r1) * float(r1)
+        r2_vals = np.linspace(-cap, cap, grid_n)
+        s2_vals = np.linspace(-cap, cap, grid_n)
+        r2_grid, s2_grid = np.meshgrid(r2_vals, s2_vals, indexing="ij")
+        values = np.abs(value_at(inputs, float(r1), r2_grid, s2_grid))
+        flat = int(np.argmax(values))
+        value = float(values.flat[flat])
+        if value > best_value:
+            i, j = divmod(flat, grid_n)
+            best_value = value
+            best_key = (float(r1), float(r2_vals[i]), float(s2_vals[j]))
+    return SupremumReport(
+        functional=functional,
+        mode=mode,
+        grid_n=grid_n,
+        supremum=best_value,
+        argmax=SchwarzSample.free(*best_key),
+        bound=closed_form_bound(inputs, functional),
+    )
+
+
+def corner_max(inputs, functional, mode):
+    """Exact supremum: the functional is |affine| in (r2, s2) and in r1^2,
+    so its maximum over the box sits on one of 12 corners."""
+    value_at = oracle._FUNCTIONAL_TABLE[functional][0]
+    best = -math.inf
+    for r1 in (-1.0, 0.0, 1.0):
+        cap = 1.0 if mode == "paper" else 1.0 - r1 * r1
+        for r2 in (-cap, cap):
+            for s2 in (-cap, cap):
+                best = max(best, float(abs(value_at(inputs, r1, r2, s2))))
+    return best
+
+
+CORNER_DRAWS = random_inputs(np.random.default_rng(2024), 200)
 
 
 class TestSchwarzSample:
@@ -131,6 +177,64 @@ class TestSweepMax:
         d = sweep_max(BISTAR_11, "abs_a2", grid_n=5).as_dict()
         assert set(d) == {"functional", "mode", "grid_n", "supremum", "argmax", "bound", "ratio"}
         assert len(d["argmax"]) == 4
+
+
+class TestBlockedSweep:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        grid_n=st.integers(2, 60),
+        mode=st.sampled_from(MODES),
+        functional=st.sampled_from(FUNCTIONALS),
+    )
+    @example(seed=0, grid_n=2, mode="schwarz", functional="abs_a3")  # every cap is 0
+    @example(seed=1, grid_n=41, mode="schwarz", functional="fekete")  # 9-row blocks
+    @example(seed=2, grid_n=60, mode="paper", functional="abs_a2")  # 4-row blocks
+    def test_matches_reference_loop_bit_for_bit(self, seed, grid_n, mode, functional):
+        (inputs,) = random_inputs(np.random.default_rng(seed), 1)
+        got = sweep_max(inputs, functional, grid_n, mode)
+        want = reference_sweep(inputs, functional, grid_n, mode)
+        assert repr(got.as_dict()) == repr(want.as_dict())
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_axes_match_scalar_linspace_bytes(self, mode):
+        # suprema sit on the box corners, which every rounding of the axes
+        # gets right, so the interior points are pinned here
+        for grid_n in range(2, 61):
+            r1_vals, axis = oracle._box_axes(grid_n, mode)
+            assert r1_vals.tobytes() == np.linspace(-1.0, 1.0, grid_n).tobytes()
+            for r1, row in zip(r1_vals, axis):
+                cap = 1.0 if mode == "paper" else 1.0 - float(r1) * float(r1)
+                assert row.tobytes() == np.linspace(-cap, cap, grid_n).tobytes()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_ties_across_blocks_resolve_lexicographically(self, monkeypatch, mode):
+        # one r1 row per block: |a3| is even in r1, so r1 = -1 and r1 = 1 tie
+        # in paper mode and the earlier block must keep the maximum
+        monkeypatch.setattr(oracle, "_BLOCK_POINTS", 1)
+        for functional in FUNCTIONALS:
+            got = sweep_max(BISTAR_11, functional, 7, mode)
+            want = reference_sweep(BISTAR_11, functional, 7, mode)
+            assert repr(got.as_dict()) == repr(want.as_dict())
+
+
+class TestCornerSupremum:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("grid_n", [3, 21, 41])
+    def test_odd_grid_equals_corner_maximum(self, grid_n, mode):
+        for inputs in CORNER_DRAWS:
+            for functional in FUNCTIONALS:
+                supremum = sweep_max(inputs, functional, grid_n, mode).supremum
+                assert supremum == corner_max(inputs, functional, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("grid_n", [4, 20])
+    def test_even_grid_never_exceeds_corner_maximum(self, grid_n, mode):
+        # r1 = 0 is not on an even grid, so schwarz sweeps may fall short
+        for inputs in CORNER_DRAWS:
+            for functional in FUNCTIONALS:
+                supremum = sweep_max(inputs, functional, grid_n, mode).supremum
+                assert supremum <= corner_max(inputs, functional, mode)
 
 
 class TestRatioEdges:
