@@ -37,12 +37,14 @@ from .bioperator import (
     extract_coefficient_identities,
 )
 from .bounds import (
+    BoundArrays,
     BoundInputs,
     BoundReport,
     DegenerateDenominatorError,
     UNBOUNDED,
     bound_a2,
     bound_a3,
+    bound_arrays,
     fekete_szego_bound,
     phi,
     preset,
@@ -83,12 +85,14 @@ __all__ = [
     "apply_operator_inverse_side",
     "check_membership_realpart",
     "extract_coefficient_identities",
+    "BoundArrays",
     "BoundInputs",
     "BoundReport",
     "DegenerateDenominatorError",
     "UNBOUNDED",
     "bound_a2",
     "bound_a3",
+    "bound_arrays",
     "fekete_szego_bound",
     "phi",
     "preset",

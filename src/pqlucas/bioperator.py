@@ -64,17 +64,24 @@ class ClassParams:
 
     @property
     def xi(self) -> float:
-        return (2.0 * self.lam + self.mu) / (2.0 * self.lam + 1.0)
+        return multipliers(self.lam, self.mu, self.delta)[0]
 
     @property
     def c1(self) -> float:
         """First-order coefficient multiplier ``mu + lam + 2 xi delta``."""
-        return self.mu + self.lam + 2.0 * self.xi * self.delta
+        return multipliers(self.lam, self.mu, self.delta)[1]
 
     @property
     def c2(self) -> float:
         """Second-order coefficient multiplier ``mu + 2 lam + 2 xi delta``."""
-        return self.mu + 2.0 * self.lam + 2.0 * self.xi * self.delta
+        return multipliers(self.lam, self.mu, self.delta)[2]
+
+
+def multipliers(lam, mu, delta):
+    """``(xi, c1, c2)`` of the operator, for floats and numpy arrays alike."""
+    xi = (2.0 * lam + mu) / (2.0 * lam + 1.0)
+    two_xi_delta = 2.0 * xi * delta
+    return xi, mu + lam + two_xi_delta, mu + 2.0 * lam + two_xi_delta
 
 
 def _operator_series(params: ClassParams, s: TruncatedSeries) -> TruncatedSeries:
@@ -268,9 +275,11 @@ def check_membership_realpart(
     ``z f'(z)/f(z)``, ``"convex"`` uses ``1 + z f''(z)/f'(z)``.  The real
     powers of ``f/z`` in ``D[f]`` take the branch continued from ``z = 0``
     along each ray of the grid, not the principal one, and a ray is flagged
-    from its first zero of ``f/z`` outwards.  The minimum is an order-independent reduction, so any partition of the grid
-    yields the same report; ties pick the first point in (radius, angle)
-    order.
+    from its first zero of ``f/z`` outwards.
+
+    The minimum is an order-independent reduction, so any partition of the
+    grid yields the same report; ties pick the first point in (radius,
+    angle) order.
     """
     if mode not in MEMBERSHIP_MODES:
         raise ValueError(f"unknown membership mode: {mode!r}")

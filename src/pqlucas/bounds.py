@@ -19,6 +19,11 @@ degenerate inputs (``theta = 0`` or ``p = 0``) produce a value of 0 or
 tables stay total.  :func:`phi` is the one function here that raises on a
 vanishing denominator, because a ratio has no sensible sentinel value.
 
+All three bounds are evaluated in one place, :func:`bound_arrays`, over
+numpy arrays that broadcast against each other; it returns values plus
+regime and flag codes.  :func:`bound_a2`, :func:`bound_a3` and
+:func:`fekete_szego_bound` are its 0-d views and match it bit for bit.
+
 The Fekete-Szego bound uses the single max-form above; written piecewise it
 switches branch at ``|phi| = 1/(2 c2)``, i.e. at
 
@@ -34,8 +39,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .bioperator import ClassParams
+import numpy as np
+
+from .bioperator import ClassParams, multipliers
 
 UNBOUNDED = math.inf
 
@@ -56,23 +64,171 @@ class DegenerateDenominatorError(ValueError):
     """A vanishing denominator makes the requested quantity undefined."""
 
 
-def _theta_terms(params: ClassParams, p: float, q: float) -> tuple[float, float]:
-    mass = (params.mu + 2.0 * params.lam) * (
-        1.0 + params.mu + 12.0 * params.delta / (2.0 * params.lam + 1.0)
-    )
-    return mass * p * p, 2.0 * params.c1**2 * (p * p + 2.0 * q)
+def _pow(base, exponent: float):
+    """Python's float ``**`` on ``base`` or on each element of it; inf on overflow.
+
+    numpy's ``power`` (and its ``square`` shortcut) can differ from it in
+    the last bit, so the array core and the scalar functions share this rule.
+    """
+
+    def one(b: float) -> float:
+        try:
+            return b**exponent
+        except OverflowError:
+            return UNBOUNDED
+
+    if isinstance(base, float):
+        return one(float(base))
+    return np.reshape([one(b) for b in np.ravel(base).tolist()], np.shape(base))
+
+
+def _theta_terms(lam, mu, delta, c1, p, q):
+    """The two terms of ``theta``, for floats and numpy arrays alike."""
+    mass = (mu + 2.0 * lam) * (1.0 + mu + 12.0 * delta / (2.0 * lam + 1.0))
+    return mass * p * p, 2.0 * _pow(c1, 2) * (p * p + 2.0 * q)
+
+
+def _is_zero(t1, t2):
+    return np.abs(t1 - t2) <= THETA_TOL * np.maximum(1.0, np.abs(t1) + np.abs(t2))
+
+
+def _phi(p, upsilon, th):
+    return p * p * (1.0 - upsilon) / th
+
+
+def _scalar_terms(params: ClassParams, p: float, q: float) -> tuple[float, float]:
+    return _theta_terms(params.lam, params.mu, params.delta, params.c1, p, q)
 
 
 def theta(params: ClassParams, p: float, q: float) -> float:
     """The shared denominator of the squared-coefficient identities."""
-    t1, t2 = _theta_terms(params, p, q)
+    t1, t2 = _scalar_terms(params, p, q)
     return t1 - t2
 
 
 def theta_is_zero(params: ClassParams, p: float, q: float) -> bool:
     """Vanishing test for ``theta``, scaled by the size of its two terms."""
-    t1, t2 = _theta_terms(params, p, q)
-    return abs(t1 - t2) <= THETA_TOL * max(1.0, abs(t1) + abs(t2))
+    return bool(_is_zero(*_scalar_terms(params, p, q)))
+
+
+_FLAG_P_ZERO = "p(x) = 0: the first-order coefficient identity forces a2 = 0"
+_FLAG_THETA_ZERO = "theta = 0: coefficient-functional denominator vanishes"
+
+# Fekete-Szego regimes; BoundArrays.regime indexes this tuple.
+REGIMES = ("case1", "case2", "boundary", "degenerate")
+_CASE1, _CASE2, _BOUNDARY, _DEGENERATE = range(len(REGIMES))
+
+# Every flag tuple a report can carry; the BoundArrays flag codes index it.
+FLAG_SETS: tuple[tuple[str, ...], ...] = (
+    (),
+    (_FLAG_P_ZERO,),
+    (_FLAG_P_ZERO, _FLAG_THETA_ZERO),
+    (_FLAG_THETA_ZERO,),
+    (_FLAG_THETA_ZERO, "upsilon = 1: value is the |p|/c2 limit"),
+    (_FLAG_THETA_ZERO, "upsilon != 1 leaves the functional unbounded"),
+    ("threshold variant without 1/|p| scaling selects case1",),
+    ("threshold variant without 1/|p| scaling selects case2",),
+)
+(
+    _NO_FLAGS,
+    _P_ZERO,
+    _P_AND_THETA_ZERO,
+    _THETA_ZERO,
+    _THETA_ZERO_LIMIT,
+    _THETA_ZERO_UNBOUNDED,
+    _VARIANT_CASE1,
+    _VARIANT_CASE2,
+) = range(len(FLAG_SETS))
+
+
+@dataclass(frozen=True)
+class BoundArrays:
+    """The three bounds over a broadcast grid, from :func:`bound_arrays`.
+
+    ``theta``, ``a2``, ``a3`` and their flags have the broadcast shape of
+    ``(lam, mu, delta, p, q)``; the Fekete-Szego arrays that of all six inputs.
+    ``regime`` (of the Fekete-Szego bound) indexes :data:`REGIMES` and the
+    ``*_flags`` codes index :data:`FLAG_SETS`.  The ``|a2|`` and ``|a3|``
+    regimes are ``"degenerate"`` exactly where their flags are not empty.
+    Points with a non-finite input or ``theta`` hold meaningless values;
+    :class:`BoundInputs` is where such points are rejected.
+    """
+
+    theta: np.ndarray
+    a2: np.ndarray
+    a3: np.ndarray
+    fs: np.ndarray
+    regime: np.ndarray
+    a2_flags: np.ndarray
+    a3_flags: np.ndarray
+    fs_flags: np.ndarray
+
+
+def bound_arrays(lam, mu, delta, p, q, upsilon) -> BoundArrays:
+    """Evaluate ``|a2|``, ``|a3|`` and Fekete-Szego bounds on broadcast arrays.
+
+    This is the one implementation of the bounds: :func:`bound_a2`,
+    :func:`bound_a3` and :func:`fekete_szego_bound` are 0-d views of it.
+    ``c1``, ``c2`` and ``theta`` are computed once per broadcast shape of
+    their own arguments, and every value is bit for bit what the scalar
+    formulas in the module docstring give with Python floats.
+    """
+    lam, mu, delta, p, q, upsilon = (
+        np.asarray(a, dtype=float) for a in (lam, mu, delta, p, q, upsilon)
+    )
+    with np.errstate(all="ignore"):
+        _, c1, c2 = multipliers(lam, mu, delta)
+        t1, t2 = _theta_terms(lam, mu, delta, c1, p, q)
+        th = t1 - t2
+        theta_zero = _is_zero(t1, t2)
+        p_zero = p == 0.0
+        abs_p = np.abs(p)
+
+        a2 = np.where(
+            p_zero,
+            0.0,
+            np.where(theta_zero, UNBOUNDED, 2.0 * _pow(abs_p, 1.5) / np.sqrt(np.abs(th))),
+        )
+        a2_flags = np.where(
+            p_zero,
+            np.where(theta_zero, _P_AND_THETA_ZERO, _P_ZERO),
+            np.where(theta_zero, _THETA_ZERO, _NO_FLAGS),
+        )
+        a3 = np.where(p_zero, 0.0, p * p / (c1 * c1) + abs_p / c2)
+        a3, a3_flags = (
+            np.broadcast_to(a, th.shape) for a in (a3, np.where(p_zero, _P_ZERO, _NO_FLAGS))
+        )
+
+        ratio = np.abs(_phi(p, upsilon, th))
+        half = 1.0 / (2.0 * c2)
+        regime = np.where(
+            np.abs(ratio - half) <= BOUNDARY_TOL,
+            _BOUNDARY,
+            np.where(ratio < half, _CASE1, _CASE2),
+        )
+        # Variant threshold without the 1/|p| scaling; flag only a disagreement.
+        variant_case2 = np.abs(1.0 - upsilon) * 2.0 * c2 * abs_p >= np.abs(th)
+        disagree = (regime != _BOUNDARY) & (variant_case2 != (regime == _CASE2))
+        fs_flags = np.where(
+            disagree, np.where(variant_case2, _VARIANT_CASE2, _VARIANT_CASE1), _NO_FLAGS
+        )
+        fs = 2.0 * abs_p * np.maximum(ratio, half)
+
+        # theta = 0 is UNBOUNDED unless upsilon = 1, where phi -> 0 and the
+        # case1 value survives; it takes precedence over p = 0.
+        upsilon_one = upsilon == 1.0
+        fs = np.where(
+            theta_zero,
+            np.where(upsilon_one, abs_p / c2, UNBOUNDED),
+            np.where(p_zero, 0.0, fs),
+        )
+        fs_flags = np.where(
+            theta_zero,
+            np.where(upsilon_one, _THETA_ZERO_LIMIT, _THETA_ZERO_UNBOUNDED),
+            np.where(p_zero, _P_ZERO, fs_flags),
+        )
+        regime = np.where(theta_zero | p_zero, _DEGENERATE, regime)
+    return BoundArrays(th, a2, a3, fs, regime, a2_flags, a3_flags, fs_flags)
 
 
 @dataclass(frozen=True)
@@ -82,6 +238,7 @@ class BoundInputs:
     ``upsilon`` is the Fekete-Szego weight; the pure coefficient bounds
     ignore it.  ``theta`` and ``theta_zero`` are derived once, here; a
     point whose ``theta`` overflows is rejected like a non-finite input.
+    The bounds themselves are evaluated on first use, once per point.
     """
 
     params: ClassParams
@@ -109,6 +266,11 @@ class BoundInputs:
         if self.p == 0.0:
             return None
         return self.theta / self.p
+
+    @cached_property
+    def _arrays(self) -> BoundArrays:
+        params = self.params
+        return bound_arrays(params.lam, params.mu, params.delta, self.p, self.q, self.upsilon)
 
 
 @dataclass(frozen=True)
@@ -141,33 +303,23 @@ class BoundReport:
         }
 
 
-_FLAG_P_ZERO = "p(x) = 0: the first-order coefficient identity forces a2 = 0"
-_FLAG_THETA_ZERO = "theta = 0: coefficient-functional denominator vanishes"
+def _report(inputs: BoundInputs, value, flag_code, regime: str | None = None) -> BoundReport:
+    flags = FLAG_SETS[int(flag_code)]
+    if regime is None:
+        regime = "degenerate" if flags else "case1"
+    return BoundReport(float(value), regime, inputs.theta, inputs.upsilon_x, flags)
 
 
 def bound_a2(inputs: BoundInputs) -> BoundReport:
     """Second-coefficient bound ``2 |p|^{3/2} / sqrt(|theta|)``."""
-    th = inputs.theta
-    ux = inputs.upsilon_x
-    if inputs.p == 0.0:
-        flags = (_FLAG_P_ZERO,) + ((_FLAG_THETA_ZERO,) if inputs.theta_zero else ())
-        return BoundReport(0.0, "degenerate", th, ux, flags)
-    if inputs.theta_zero:
-        return BoundReport(UNBOUNDED, "degenerate", th, ux, (_FLAG_THETA_ZERO,))
-    value = 2.0 * abs(inputs.p) ** 1.5 / math.sqrt(abs(th))
-    return BoundReport(value, "case1", th, ux)
+    arrays = inputs._arrays
+    return _report(inputs, arrays.a2, arrays.a2_flags)
 
 
 def bound_a3(inputs: BoundInputs) -> BoundReport:
     """Third-coefficient bound ``p^2 / c1^2 + |p| / c2``."""
-    th = inputs.theta
-    ux = inputs.upsilon_x
-    if inputs.p == 0.0:
-        return BoundReport(0.0, "degenerate", th, ux, (_FLAG_P_ZERO,))
-    c1 = inputs.params.c1
-    c2 = inputs.params.c2
-    value = inputs.p * inputs.p / (c1 * c1) + abs(inputs.p) / c2
-    return BoundReport(value, "case1", th, ux)
+    arrays = inputs._arrays
+    return _report(inputs, arrays.a3, arrays.a3_flags)
 
 
 def phi(inputs: BoundInputs) -> float:
@@ -179,7 +331,7 @@ def phi(inputs: BoundInputs) -> float:
         raise DegenerateDenominatorError(
             "phi undefined: coefficient-bound denominator vanishes (theta = 0)"
         )
-    return inputs.p * inputs.p * (1.0 - inputs.upsilon) / inputs.theta
+    return _phi(inputs.p, inputs.upsilon, inputs.theta)
 
 
 def fekete_szego_bound(inputs: BoundInputs) -> BoundReport:
@@ -191,46 +343,8 @@ def fekete_szego_bound(inputs: BoundInputs) -> BoundReport:
     inputs are reported, not raised: ``theta = 0`` is UNBOUNDED unless
     ``upsilon = 1``, where ``phi -> 0`` and the case1 value survives.
     """
-    th = inputs.theta
-    ux = inputs.upsilon_x
-    c2 = inputs.params.c2
-    if inputs.theta_zero:
-        if inputs.upsilon == 1.0:
-            return BoundReport(
-                abs(inputs.p) / c2,
-                "degenerate",
-                th,
-                ux,
-                (_FLAG_THETA_ZERO, "upsilon = 1: value is the |p|/c2 limit"),
-            )
-        return BoundReport(
-            UNBOUNDED,
-            "degenerate",
-            th,
-            ux,
-            (_FLAG_THETA_ZERO, "upsilon != 1 leaves the functional unbounded"),
-        )
-    if inputs.p == 0.0:
-        return BoundReport(0.0, "degenerate", th, ux, (_FLAG_P_ZERO,))
-
-    ratio = abs(phi(inputs))
-    half = 1.0 / (2.0 * c2)
-    value = 2.0 * abs(inputs.p) * max(ratio, half)
-    if abs(ratio - half) <= BOUNDARY_TOL:
-        regime = "boundary"
-    elif ratio < half:
-        regime = "case1"
-    else:
-        regime = "case2"
-
-    flags: tuple[str, ...] = ()
-    # Variant threshold without the 1/|p| scaling; flag only a disagreement.
-    variant_case2 = abs(1.0 - inputs.upsilon) * 2.0 * c2 * abs(inputs.p) >= abs(th)
-    ours_case2 = regime == "case2"
-    if regime != "boundary" and variant_case2 != ours_case2:
-        variant = "case2" if variant_case2 else "case1"
-        flags = (f"threshold variant without 1/|p| scaling selects {variant}",)
-    return BoundReport(value, regime, th, ux, flags)
+    arrays = inputs._arrays
+    return _report(inputs, arrays.fs, arrays.fs_flags, REGIMES[int(arrays.regime)])
 
 
 def preset(name: str, **overrides: float) -> ClassParams:

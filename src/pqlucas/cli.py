@@ -20,12 +20,13 @@ CSV uses RFC-4180-style CRLF rows; JSON tables are one object with a
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import functools
 import json
 import os
 import statistics
 import sys
+from collections.abc import Iterable, Sequence
+from itertools import chain, product
 
 import numpy as np
 
@@ -37,12 +38,13 @@ from .bioperator import (
     extract_coefficient_identities,
 )
 from .bounds import (
-    BoundInputs,
+    FLAG_SETS,
     PRESET_NAMES,
     PRESET_PINS,
-    bound_a2,
-    bound_a3,
-    fekete_szego_bound,
+    REGIMES,
+    BoundArrays,
+    BoundInputs,
+    bound_arrays,
 )
 from .lucas import PolyPair, eval_poly, generating_series, lucas_sequence
 from .oracle import FUNCTIONALS, MODES, draw_params, random_inputs, verify_bounds
@@ -141,12 +143,14 @@ def _emit_verdict(text: str, out: str | None, passed: bool) -> int:
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
-def _csv_text(columns: tuple[str, ...], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _csv_text(columns: tuple[str, ...], rows: Iterable[Sequence[str]]) -> str:
+    """CSV text, CRLF rows: the bytes ``csv.writer`` gives for these cells.
+
+    Cells are already text (``str`` of ints and Python floats).  None needs
+    quoting: numbers, regime tags and flag texts hold no comma, quote or
+    line break.
+    """
+    return "".join(",".join(row) + "\r\n" for row in chain((columns,), rows))
 
 
 def _json_text(obj) -> str:
@@ -180,7 +184,10 @@ def cmd_lucas(ns: argparse.Namespace) -> int:
         }
         text = _json_text(payload)
     else:
-        text = _csv_text(("k", "lucas_recurrence", "lucas_series", "abs_diff"), rows)
+        text = _csv_text(
+            ("k", "lucas_recurrence", "lucas_series", "abs_diff"),
+            ([str(v) for v in row] for row in rows),
+        )
     return _emit_verdict(text, ns.out, worst <= ns.tol)
 
 
@@ -274,50 +281,77 @@ class _TrackedRange(argparse.Action):
         setattr(namespace, f"{self.dest}_given", option_string)
 
 
+def _table_params(ns: argparse.Namespace) -> tuple[list[ClassParams], ValueError | None]:
+    """The parameter points in row order, up to the first invalid one."""
+    params = []
+    for lam, mu, delta in product(ns.lam, ns.mu, ns.delta):
+        try:
+            params.append(ClassParams(lam, mu, delta))
+        except ValueError as exc:
+            return params, exc
+    return params, None
+
+
 def cmd_table(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     _apply_preset(ns, parser)
+    params, error = _table_params(ns)
+    ps = [eval_poly(ns.p, x) for x in ns.x]
+    qs = [eval_poly(ns.q, x) for x in ns.x]
+    # One core call on (params, x, upsilon) axes.
+    p = np.array(ps)[:, None]
+    q = np.array(qs)[:, None]
+    upsilon = np.array(ns.upsilon)
+    table = bound_arrays(
+        *(np.array([getattr(c, name) for c in params])[:, None, None]
+          for name in ("lam", "mu", "delta")),
+        p, q, upsilon,
+    )
+    # Where BoundInputs would reject a row, build it there for its message.
+    # Those rows precede the first invalid parameter point.
+    valid = np.isfinite(p) & np.isfinite(q) & np.isfinite(upsilon) & np.isfinite(table.theta)
+    shape = (len(params), len(ps), len(upsilon))
+    if not valid.all():
+        i, j, k = np.unravel_index(np.argmin(np.broadcast_to(valid, shape)), shape)
+        try:
+            BoundInputs(params[i], ps[j], qs[j], ns.upsilon[k])
+        except ValueError as exc:
+            error = exc
+    if error is not None:
+        parser.error(str(error))
+
+    # CSV text: repr each distinct value once (an axis value, a2/a3 per
+    # parameter point and x); JSON keeps the floats for its own encoder.
+    cell = repr if ns.format == "csv" else (lambda v: v)
+    heads = list(product(*([cell(v) for v in axis] for axis in (ns.lam, ns.mu, ns.delta))))
+    xs = [(cell(x), cell(pv), cell(qv)) for x, pv, qv in zip(ns.x, ps, qs)]
+    ups = [cell(u) for u in ns.upsilon]
+    a2 = [cell(v) for v in table.a2.ravel().tolist()]
+    a3 = [cell(v) for v in table.a3.ravel().tolist()]
+    fs = [cell(v) for v in table.fs.ravel().tolist()]
+    regimes = [REGIMES[r] for r in table.regime.ravel().tolist()]
+    flags = _row_flags(table)
     rows = []
-    for lam in ns.lam:
-        for mu in ns.mu:
-            for delta in ns.delta:
-                try:
-                    params = ClassParams(lam, mu, delta)
-                except ValueError as exc:
-                    parser.error(str(exc))
-                for x in ns.x:
-                    p = eval_poly(ns.p, x)
-                    q = eval_poly(ns.q, x)
-                    for upsilon in ns.upsilon:
-                        try:
-                            inputs = BoundInputs(params, p, q, upsilon)
-                        except ValueError as exc:
-                            parser.error(str(exc))
-                        r2 = bound_a2(inputs)
-                        r3 = bound_a3(inputs)
-                        fs = fekete_szego_bound(inputs)
-                        flags = ";".join(r2.flags + r3.flags + fs.flags)
-                        rows.append(
-                            [
-                                lam,
-                                mu,
-                                delta,
-                                x,
-                                p,
-                                q,
-                                upsilon,
-                                r2.value,
-                                r3.value,
-                                fs.value,
-                                fs.regime,
-                                flags,
-                            ]
-                        )
+    n = 0
+    for i, head in enumerate(heads):
+        for j, x_cells in enumerate(xs):
+            b = i * len(xs) + j
+            for u in ups:
+                rows.append((*head, *x_cells, u, a2[b], a3[b], fs[n], regimes[n], flags[n]))
+                n += 1
     if ns.format == "json":
         payload = {"rows": [dict(zip(TABLE_COLUMNS, row)) for row in rows]}
         text = _json_text(payload)
     else:
         text = _csv_text(TABLE_COLUMNS, rows)
     return _emit(text, ns.out)
+
+
+def _row_flags(table: BoundArrays) -> list[str]:
+    """The ``flags`` cell of each row: the three reports' flags, ``;``-joined."""
+    codes = list(zip(*(a.ravel().tolist() for a in np.broadcast_arrays(
+        table.a2_flags, table.a3_flags, table.fs_flags))))
+    texts = {c: ";".join(FLAG_SETS[c[0]] + FLAG_SETS[c[1]] + FLAG_SETS[c[2]]) for c in set(codes)}
+    return [texts[c] for c in codes]
 
 
 # ---------------------------------------------------------------- verify
@@ -420,7 +454,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_lucas)
     subparsers["lucas"] = sp
 
     sp = sub.add_parser("operator", help="operator coefficient identities")
@@ -431,7 +464,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--seed", type=int, default=None, help="random residual table")
     sp.add_argument("--draws", type=_nonneg_int, default=10)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_operator)
     subparsers["operator"] = sp
 
     sp = sub.add_parser("member", help="sampled real-part membership check")
@@ -443,7 +475,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--radii", type=_nonneg_int, default=64)
     sp.add_argument("--angles", type=_nonneg_int, default=256)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_member)
     subparsers["member"] = sp
 
     for name, upsilon_default, help_text in (
@@ -462,7 +493,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         sp.add_argument("--preset", choices=PRESET_NAMES, default=None)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", default=None)
-        sp.set_defaults(func=cmd_table, needs_parser=True)
         subparsers[name] = sp
 
     sp = sub.add_parser("verify", help="brute-force bound verification")
@@ -475,7 +505,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--theta-min", dest="theta_min", type=float, default=2.0)
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_verify)
     subparsers["verify"] = sp
 
     return parser, subparsers
@@ -506,27 +535,41 @@ def _prescan_config(argv: list[str]) -> str | None:
     return None
 
 
+@functools.cache
+def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser of every run without ``--config``, built on first use."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser, subparsers = build_parser()
 
     config_path = _prescan_config(argv)
-    if config_path is not None:
+    if config_path is None:
+        parser, subparsers = _shared_parser()
+    else:
         try:
             config = _load_config(config_path)
         except (OSError, ValueError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return EXIT_USAGE
+        # A parser of its own, so the config defaults end with this run.
+        parser, subparsers = build_parser()
         # String defaults are run through each flag's type converter by
         # argparse itself, so raw text is the right currency here.
         for sp in subparsers.values():
             sp.set_defaults(**config)
 
     ns = parser.parse_args(argv)
-    if getattr(ns, "needs_parser", False):
-        return ns.func(ns, subparsers[ns.command])
-    return ns.func(ns)
+    # Looked up per call, not stored in the parser that outlives this call,
+    # so a command function rebound on this module (a test double, a tracer)
+    # is the one that runs.
+    if ns.command in ("bounds", "fekete"):
+        return cmd_table(ns, subparsers[ns.command])
+    commands = {"lucas": cmd_lucas, "operator": cmd_operator, "member": cmd_member,
+                "verify": cmd_verify}
+    return commands[ns.command](ns)
 
 
 if __name__ == "__main__":

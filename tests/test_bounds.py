@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pqlucas.bioperator import ClassParams
 from pqlucas.lucas import PolyPair, lucas_sequence
 from pqlucas.bounds import (
+    FLAG_SETS,
+    REGIMES,
     BoundInputs,
     DegenerateDenominatorError,
     bound_a2,
     bound_a3,
+    bound_arrays,
     fekete_szego_bound,
     phi,
     preset,
@@ -20,6 +24,90 @@ from pqlucas.bounds import (
 )
 
 BISTAR = preset("bistarlike")  # (lam, mu, delta) = (1, 0, 0): c1 = 1, c2 = 2
+
+
+# The scalar bounds as they were before the array core, kept only here as
+# a reference.  Each returns (value, regime, flags); theta is theirs too.
+
+def _ref_multipliers(params):
+    xi = (2.0 * params.lam + params.mu) / (2.0 * params.lam + 1.0)
+    c1 = params.mu + params.lam + 2.0 * xi * params.delta
+    c2 = params.mu + 2.0 * params.lam + 2.0 * xi * params.delta
+    return c1, c2
+
+
+def _ref_theta(params, p, q):
+    c1, _ = _ref_multipliers(params)
+    mass = (params.mu + 2.0 * params.lam) * (
+        1.0 + params.mu + 12.0 * params.delta / (2.0 * params.lam + 1.0)
+    )
+    t1, t2 = mass * p * p, 2.0 * c1**2 * (p * p + 2.0 * q)
+    return t1 - t2, abs(t1 - t2) <= 1e-12 * max(1.0, abs(t1) + abs(t2))
+
+
+_P_ZERO = "p(x) = 0: the first-order coefficient identity forces a2 = 0"
+_THETA_ZERO = "theta = 0: coefficient-functional denominator vanishes"
+
+
+def reference_a2(params, p, q, upsilon):
+    th, theta_zero = _ref_theta(params, p, q)
+    if p == 0.0:
+        return 0.0, "degenerate", (_P_ZERO,) + ((_THETA_ZERO,) if theta_zero else ())
+    if theta_zero:
+        return math.inf, "degenerate", (_THETA_ZERO,)
+    return 2.0 * abs(p) ** 1.5 / math.sqrt(abs(th)), "case1", ()
+
+
+def reference_a3(params, p, q, upsilon):
+    if p == 0.0:
+        return 0.0, "degenerate", (_P_ZERO,)
+    c1, c2 = _ref_multipliers(params)
+    return p * p / (c1 * c1) + abs(p) / c2, "case1", ()
+
+
+def reference_fekete(params, p, q, upsilon):
+    th, theta_zero = _ref_theta(params, p, q)
+    _, c2 = _ref_multipliers(params)
+    if theta_zero:
+        if upsilon == 1.0:
+            return abs(p) / c2, "degenerate", (
+                _THETA_ZERO, "upsilon = 1: value is the |p|/c2 limit"
+            )
+        return math.inf, "degenerate", (
+            _THETA_ZERO, "upsilon != 1 leaves the functional unbounded"
+        )
+    if p == 0.0:
+        return 0.0, "degenerate", (_P_ZERO,)
+    ratio = abs(p * p * (1.0 - upsilon) / th)
+    half = 1.0 / (2.0 * c2)
+    value = 2.0 * abs(p) * max(ratio, half)
+    if abs(ratio - half) <= 1e-12:
+        regime = "boundary"
+    elif ratio < half:
+        regime = "case1"
+    else:
+        regime = "case2"
+    flags = ()
+    variant_case2 = abs(1.0 - upsilon) * 2.0 * c2 * abs(p) >= abs(th)
+    if regime != "boundary" and variant_case2 != (regime == "case2"):
+        variant = "case2" if variant_case2 else "case1"
+        flags = (f"threshold variant without 1/|p| scaling selects {variant}",)
+    return value, regime, flags
+
+
+def _key(value, regime, flags):
+    return repr(float(value)), regime, tuple(flags)
+
+
+def _theta_zero_q(lam, mu, delta, p):
+    """The q that makes theta vanish (up to rounding) at these parameters."""
+    c1, _ = _ref_multipliers(ClassParams(lam, mu, delta))
+    mass = (mu + 2.0 * lam) * (1.0 + mu + 12.0 * delta / (2.0 * lam + 1.0))
+    return (mass * p * p / (2.0 * c1 * c1) - p * p) / 2.0
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
 class TestTheta:
@@ -208,6 +296,115 @@ class TestFeketeSzego:
         d = fekete_szego_bound(BoundInputs(BISTAR, 1.0, 1.0, upsilon=3.0)).as_dict()
         assert set(d) == {"value", "regime", "theta", "upsilon_x", "flags"}
         assert d["flags"] == []
+
+
+class TestArrayCore:
+    """bound_arrays and its 0-d views against the scalar reference, bit for bit."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        lam=st.one_of(st.just(1.0), _finite(1.0, 4.0)),
+        mu=st.one_of(st.just(0.0), _finite(0.0, 4.0)),
+        delta=st.one_of(st.just(0.0), _finite(0.0, 3.0)),
+        p=st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), _finite(-3.0, 3.0)),
+        q=st.one_of(st.sampled_from([0.0, 1.0, -0.5]), _finite(-3.0, 3.0)),
+        upsilon=st.one_of(st.sampled_from([0.0, 1.0, 2.0]), _finite(-2.0, 4.0)),
+        zero_theta=st.booleans(),
+    )
+    @example(lam=1.0, mu=0.0, delta=0.0, p=0.0, q=1.0, upsilon=3.0, zero_theta=False)
+    # bistarlike theta = -4 q: theta = 0 as the upsilon = 1 limit and unbounded
+    @example(lam=1.0, mu=0.0, delta=0.0, p=1.5, q=0.0, upsilon=1.0, zero_theta=False)
+    @example(lam=1.0, mu=0.0, delta=0.0, p=1.5, q=0.0, upsilon=2.0, zero_theta=False)
+    @example(lam=1.0, mu=0.0, delta=0.0, p=1.0, q=1.0, upsilon=0.0, zero_theta=False)
+    @example(lam=1.0, mu=0.0, delta=0.0, p=1.0, q=1.0, upsilon=2.0, zero_theta=False)
+    @example(lam=1.0, mu=0.0, delta=0.0, p=0.5, q=-1.0, upsilon=4.0, zero_theta=False)
+    @example(lam=1.5, mu=1.0, delta=0.0, p=2.0, q=0.5, upsilon=0.0, zero_theta=False)
+    def test_matches_reference_bit_for_bit(self, lam, mu, delta, p, q, upsilon, zero_theta):
+        if zero_theta:
+            q = _theta_zero_q(lam, mu, delta, p)
+        # The drawn point plus bistarlike, p = 0 and upsilon = 1 neighbours,
+        # broadcast over (params, x, upsilon) axes as the CLI table does.
+        params = [ClassParams(lam, mu, delta), BISTAR]
+        points = [(p, q), (0.0, q), (p, 0.0)]
+        upsilons = [upsilon, 1.0, 0.0]
+        table = bound_arrays(
+            np.array([c.lam for c in params])[:, None, None],
+            np.array([c.mu for c in params])[:, None, None],
+            np.array([c.delta for c in params])[:, None, None],
+            np.array([pt[0] for pt in points])[:, None],
+            np.array([pt[1] for pt in points])[:, None],
+            np.array(upsilons),
+        )
+        for i, c in enumerate(params):
+            for j, (pv, qv) in enumerate(points):
+                for k, u in enumerate(upsilons):
+                    inputs = BoundInputs(c, pv, qv, u)
+                    want_theta, _ = _ref_theta(c, pv, qv)
+                    assert repr(float(table.theta[i, j, 0])) == repr(want_theta)
+                    for view, ref, value, code, regime in (
+                        (bound_a2, reference_a2, table.a2[i, j, 0], table.a2_flags[i, j, 0],
+                         None),
+                        (bound_a3, reference_a3, table.a3[i, j, 0], table.a3_flags[i, j, 0],
+                         None),
+                        (fekete_szego_bound, reference_fekete, table.fs[i, j, k],
+                         table.fs_flags[i, j, k], REGIMES[table.regime[i, j, k]]),
+                    ):
+                        want = _key(*ref(c, pv, qv, u))
+                        report = view(inputs)
+                        assert _key(report.value, report.regime, report.flags) == want
+                        assert repr(report.theta) == repr(want_theta)
+                        flags = FLAG_SETS[code]
+                        if regime is None:
+                            regime = "degenerate" if flags else "case1"
+                        assert _key(value, regime, flags) == want
+
+    def test_long_axes_match_reference(self):
+        # numpy's vectorised power and square round differently from
+        # Python's ** on a share of long inputs; short axes never show it
+        rng = np.random.default_rng(4)
+        lows, highs = (1.0, 0.0, 0.0, -3.0, -3.0, -2.0), (4.0, 4.0, 3.0, 3.0, 3.0, 4.0)
+        columns = rng.uniform(lows, highs, size=(20_000, 6)).T
+        table = bound_arrays(*columns)
+        got = zip(
+            table.theta.tolist(), table.a2.tolist(), table.a3.tolist(), table.fs.tolist(),
+            table.regime.tolist(), table.fs_flags.tolist(),
+        )
+        for (lam, mu, delta, p, q, u), (th, a2, a3, fs, regime, fs_flags) in zip(
+            columns.T.tolist(), got
+        ):
+            params = ClassParams(lam, mu, delta)
+            assert repr(th) == repr(_ref_theta(params, p, q)[0])
+            assert repr(a2) == repr(reference_a2(params, p, q, u)[0])
+            assert repr(a3) == repr(reference_a3(params, p, q, u)[0])
+            want = _key(*reference_fekete(params, p, q, u))
+            assert _key(fs, REGIMES[regime], FLAG_SETS[fs_flags]) == want
+
+    def test_inputs_evaluate_the_core_once(self, monkeypatch):
+        from pqlucas import bounds
+
+        calls = []
+        core = bounds.bound_arrays
+        monkeypatch.setattr(bounds, "bound_arrays", lambda *a: calls.append(a) or core(*a))
+        inputs = BoundInputs(BISTAR, 1.0, 1.0, upsilon=3.0)
+        assert calls == []  # not at construction: rejected draws never pay for it
+        for view in (bound_a2, bound_a3, fekete_szego_bound, bound_a2):
+            view(inputs)
+        assert len(calls) == 1
+
+    def test_shapes_follow_dependencies(self):
+        table = bound_arrays(
+            np.ones((2, 1, 1)), np.zeros((2, 1, 1)), np.zeros((2, 1, 1)),
+            np.ones((3, 1)), np.ones((3, 1)), np.linspace(0.0, 2.0, 4),
+        )
+        for name in ("theta", "a2", "a3", "a2_flags", "a3_flags"):
+            assert getattr(table, name).shape == (2, 3, 1)
+        for name in ("fs", "regime", "fs_flags"):
+            assert getattr(table, name).shape == (2, 3, 4)
+
+    def test_overflowing_multiplier_is_rejected_not_raised(self):
+        # c1 ~ 1e160 squares past the float range; before, c1**2 raised
+        with pytest.raises(ValueError, match="theta must be finite"):
+            BoundInputs(ClassParams(1e160, 0.0, 0.0), 1.0, 1.0)
 
 
 class TestPresets:

@@ -1,6 +1,7 @@
 """End-to-end CLI runs through main(argv): formats, exit codes, config, output."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -8,7 +9,17 @@ from pathlib import Path
 
 import pytest
 
-from pqlucas.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, TABLE_COLUMNS, main
+from pqlucas import cli
+from pqlucas.bounds import FLAG_SETS, REGIMES
+from pqlucas.cli import (
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VERIFY_FAILED,
+    TABLE_COLUMNS,
+    build_parser,
+    main,
+)
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -188,16 +199,33 @@ class TestBoundsTable:
     @pytest.mark.parametrize(
         "flags",
         [["--upsilon", "nan"], ["--upsilon", "inf"], ["--p", "nan"], ["--q", "nan"],
-         ["--x", "nan"], ["--x", "1e200"]],
+         ["--x", "nan"], ["--x", "1e200"], ["--mu=-1:1:3"], ["--lambda=0.5:2:3"],
+         ["--x", "0:1e200:2"], ["--lambda", "1e160"]],
     )
     def test_non_finite_input_is_usage_error(self, capsys, command, flags):
-        # --x 1e200 overflows p^2, so theta itself is not finite
+        # The exact stderr of the per-row table this replaced.  --x 1e200
+        # overflows p^2, so theta itself is not finite; with --x 0:1e200:2
+        # the first row is fine and the second overflows; an invalid
+        # parameter point fails before any row; --lambda 1e160 overflows
+        # c1^2, which used to escape as an OverflowError traceback.
+        too_large = "theta must be finite: p(x) or q(x) is too large"
+        message = {
+            "--upsilon nan": "upsilon must be finite",
+            "--upsilon inf": "upsilon must be finite",
+            "--p nan": "p must be finite",
+            "--q nan": "q must be finite",
+            "--x nan": "p must be finite",
+            "--x 1e200": too_large,
+            "--mu=-1:1:3": "mu must be >= 0",
+            "--lambda=0.5:2:3": "lam must be >= 1",
+            "--x 0:1e200:2": too_large,
+            "--lambda 1e160": too_large,
+        }[" ".join(flags)]
         with pytest.raises(SystemExit) as exc:
             main([command, *flags])
         assert exc.value.code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "must be finite" in err
-        assert "Traceback" not in err
+        usage = build_parser()[1][command].format_usage()
+        assert capsys.readouterr().err == f"{usage}pqlucas {command}: error: {message}\n"
 
     @pytest.mark.parametrize(
         "argv, golden",
@@ -206,12 +234,37 @@ class TestBoundsTable:
               "--x", "0:1:3"], "bounds_caglar.csv"),
             (["fekete", "--preset", "bistarlike", "--format", "json", "--q=-0.5,1",
               "--x", "0:1:3", "--upsilon", "0:2:3"], "fekete_bistarlike.json"),
+            # boundary, case1, case2, variant -> case2, p = 0, and theta = 0
+            # both as the upsilon = 1 limit and unbounded
+            (["bounds", "--preset", "bistarlike", "--q=-0.5,1", "--x", "0:1:5",
+              "--upsilon", "0:2:5"], "bounds_bistarlike.csv"),
+            # variant -> case1
+            (["fekete", "--preset", "mu1", "--lambda", "1:2:3", "--q=-0.5,1", "--p=0,2",
+              "--x", "0:1:5", "--upsilon", "0:2:5", "--format", "json"], "fekete_mu1.json"),
         ],
     )
     def test_preset_output_bytes(self, capsys, argv, golden):
         code, out, _ = run(capsys, argv)
         assert code == EXIT_OK
         assert out == (GOLDEN / golden).read_bytes().decode("utf-8")
+
+    def test_large_table_digest(self, capsys):
+        # 40,000 rows; the digest was taken with the per-row csv.writer table
+        code, out, _ = run(
+            capsys,
+            ["bounds", "--lambda", "1:3:20", "--mu", "0:3:20", "--delta", "0:2:10",
+             "--upsilon", "0:3:10"],
+        )
+        assert code == EXIT_OK
+        assert out.count("\r\n") == 40_001
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "759b85375ae2253cc571976d95d767adce6dec6bea420b5cb62d73a86d0f2905"
+        )
+
+    def test_no_table_cell_needs_quoting(self):
+        # so joining cells with "," gives the bytes csv.writer would
+        texts = list(REGIMES) + [flag for flags in FLAG_SETS for flag in flags]
+        assert not any(ch in text for text in texts for ch in ',"\r\n')
 
     def test_malformed_range(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -332,6 +385,33 @@ class TestConfigAndOutput:
         code, out, _ = run(capsys, ["--config", str(cfg), "verify"])
         assert code == EXIT_OK
         assert "grid_n=3 draws=2" in out
+
+    def test_config_defaults_end_with_their_run(self, capsys, tmp_path):
+        _, plain, _ = run(capsys, ["lucas"])
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text("k=3\nformat=json\n")
+        _, configured, _ = run(capsys, ["--config", str(cfg), "lucas"])
+        assert configured != plain
+        code, out, _ = run(capsys, ["lucas"])
+        assert code == EXIT_OK
+        assert out == plain
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        original = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or original())
+        cli._shared_parser.cache_clear()
+        try:
+            for _ in range(3):
+                run(capsys, ["lucas", "--k", "2"])
+        finally:
+            cli._shared_parser.cache_clear()
+        assert len(built) == 1
+
+    def test_rebound_command_runs(self, capsys, monkeypatch):
+        run(capsys, ["lucas", "--k", "1"])  # the shared parser exists now
+        monkeypatch.setattr(cli, "cmd_lucas", lambda ns: 7)
+        assert main(["lucas", "--k", "1"]) == 7
 
     def test_missing_config(self, capsys):
         code, _, err = run(capsys, ["--config", "/no/such/file.cfg", "lucas"])
