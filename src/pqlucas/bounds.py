@@ -82,10 +82,16 @@ def _pow(base, exponent: float):
     return np.reshape([one(b) for b in np.ravel(base).tolist()], np.shape(base))
 
 
+def _theta_factors(lam, mu, delta, c1):
+    """The parameter-only factors of ``theta``: its mass term and ``c1^2``."""
+    mass = (mu + 2.0 * lam) * (1.0 + mu + 12.0 * delta / (2.0 * lam + 1.0))
+    return mass, _pow(c1, 2)
+
+
 def _theta_terms(lam, mu, delta, c1, p, q):
     """The two terms of ``theta``, for floats and numpy arrays alike."""
-    mass = (mu + 2.0 * lam) * (1.0 + mu + 12.0 * delta / (2.0 * lam + 1.0))
-    return mass * p * p, 2.0 * _pow(c1, 2) * (p * p + 2.0 * q)
+    mass, c1_squared = _theta_factors(lam, mu, delta, c1)
+    return mass * p * p, 2.0 * c1_squared * (p * p + 2.0 * q)
 
 
 def _is_zero(t1, t2):
@@ -237,7 +243,9 @@ class BoundInputs:
 
     ``upsilon`` is the Fekete-Szego weight; the pure coefficient bounds
     ignore it.  ``theta`` and ``theta_zero`` are derived once, here; a
-    point whose ``theta`` overflows is rejected like a non-finite input.
+    point whose ``theta`` overflows is rejected like a non-finite input,
+    with a message naming the parameters when the overflow is already in
+    a factor of ``theta`` that depends on them alone.
     The bounds themselves are evaluated on first use, once per point.
     """
 
@@ -254,7 +262,11 @@ class BoundInputs:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, value)
-        th = theta(self.params, self.p, self.q)
+        params = self.params
+        factors = _theta_factors(params.lam, params.mu, params.delta, params.c1)
+        if not all(math.isfinite(v) for v in factors):
+            raise ValueError("theta must be finite: lambda, mu or delta is too large")
+        th = theta(params, self.p, self.q)
         if not math.isfinite(th):
             raise ValueError("theta must be finite: p(x) or q(x) is too large")
         object.__setattr__(self, "theta", th)

@@ -403,7 +403,7 @@ class TestArrayCore:
 
     def test_overflowing_multiplier_is_rejected_not_raised(self):
         # c1 ~ 1e160 squares past the float range; before, c1**2 raised
-        with pytest.raises(ValueError, match="theta must be finite"):
+        with pytest.raises(ValueError, match="lambda, mu or delta is too large"):
             BoundInputs(ClassParams(1e160, 0.0, 0.0), 1.0, 1.0)
 
 

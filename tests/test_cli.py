@@ -106,6 +106,17 @@ class TestOperator:
         assert code == EXIT_VERIFY_FAILED
         assert json.loads(out)["pass"] is False
 
+    def test_overflowing_inverse_coefficient_is_not_nan(self, capsys):
+        # [w^2] D[f^-1] is about -3e250.  Full Horner passes of the series
+        # reversion overflowed a coefficient they never needed to inf and
+        # multiplied it by f(0) = 0, which made b3 and this coefficient NaN.
+        code, out, _ = run(capsys, ["operator", "--a2", "1e100", "--a3", "1e250"])
+        assert code == EXIT_OK
+        assert "NaN" not in out
+        payload = json.loads(out)
+        assert payload["coeff_w2"] == -3e250
+        assert payload["residuals"][3] == 0.0
+
     def test_bad_params(self, capsys):
         code, _, err = run(capsys, ["operator", "--lambda", "0.2"])
         assert code == EXIT_USAGE
@@ -200,15 +211,19 @@ class TestBoundsTable:
         "flags",
         [["--upsilon", "nan"], ["--upsilon", "inf"], ["--p", "nan"], ["--q", "nan"],
          ["--x", "nan"], ["--x", "1e200"], ["--mu=-1:1:3"], ["--lambda=0.5:2:3"],
-         ["--x", "0:1e200:2"], ["--lambda", "1e160"]],
+         ["--x", "0:1e200:2"], ["--lambda", "1e160"], ["--mu", "1e160"],
+         ["--delta", "1e160"]],
     )
     def test_non_finite_input_is_usage_error(self, capsys, command, flags):
         # The exact stderr of the per-row table this replaced.  --x 1e200
         # overflows p^2, so theta itself is not finite; with --x 0:1e200:2
         # the first row is fine and the second overflows; an invalid
-        # parameter point fails before any row; --lambda 1e160 overflows
-        # c1^2, which used to escape as an OverflowError traceback.
+        # parameter point fails before any row; --lambda 1e160 and
+        # --delta 1e160 overflow c1^2 (which used to escape as an
+        # OverflowError traceback) and --mu 1e160 also the mass term, so
+        # those name the parameters.
         too_large = "theta must be finite: p(x) or q(x) is too large"
+        params_too_large = "theta must be finite: lambda, mu or delta is too large"
         message = {
             "--upsilon nan": "upsilon must be finite",
             "--upsilon inf": "upsilon must be finite",
@@ -219,7 +234,9 @@ class TestBoundsTable:
             "--mu=-1:1:3": "mu must be >= 0",
             "--lambda=0.5:2:3": "lam must be >= 1",
             "--x 0:1e200:2": too_large,
-            "--lambda 1e160": too_large,
+            "--lambda 1e160": params_too_large,
+            "--mu 1e160": params_too_large,
+            "--delta 1e160": params_too_large,
         }[" ".join(flags)]
         with pytest.raises(SystemExit) as exc:
             main([command, *flags])
