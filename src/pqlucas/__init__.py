@@ -48,17 +48,14 @@ from .bounds import (
     fekete_szego_bound,
     phi,
     preset,
-    theta,
 )
 from .oracle import (
     FUNCTIONALS,
     MODES,
-    ReconstructedPair,
     SchwarzSample,
     SupremumReport,
     VerificationReport,
     random_inputs,
-    reconstruct,
     sweep_max,
     verify_bounds,
 )
@@ -96,15 +93,12 @@ __all__ = [
     "fekete_szego_bound",
     "phi",
     "preset",
-    "theta",
     "FUNCTIONALS",
     "MODES",
-    "ReconstructedPair",
     "SchwarzSample",
     "SupremumReport",
     "VerificationReport",
     "random_inputs",
-    "reconstruct",
     "sweep_max",
     "verify_bounds",
     "__version__",

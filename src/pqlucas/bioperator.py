@@ -288,6 +288,7 @@ def check_membership_realpart(
     fz = _horner(coeffs, z)
     d1 = tuple((k + 1) * c for k, c in enumerate(coeffs[1:]))
     fpz = _horner(d1, z)
+    d2 = tuple((k + 1) * (k + 2) * c for k, c in enumerate(coeffs[2:]))
 
     if mode == "starlike":
         denom = fz
@@ -307,10 +308,8 @@ def check_membership_realpart(
         if mode == "starlike":
             values = zv * fpz[valid] / fz[valid]
         elif mode == "convex":
-            d2 = tuple((k + 1) * (k + 2) * c for k, c in enumerate(coeffs[2:]))
             values = 1.0 + zv * _horner(d2, zv) / fpz[valid]
         else:
-            d2 = tuple((k + 1) * (k + 2) * c for k, c in enumerate(coeffs[2:]))
             log_ratio = _radial_log(denom, grid)[valid]
             values = (
                 (1.0 - params.lam) * np.exp(params.mu * log_ratio)

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -102,21 +101,6 @@ def _phi(p, upsilon, th):
     return p * p * (1.0 - upsilon) / th
 
 
-def _scalar_terms(params: ClassParams, p: float, q: float) -> tuple[float, float]:
-    return _theta_terms(params.lam, params.mu, params.delta, params.c1, p, q)
-
-
-def theta(params: ClassParams, p: float, q: float) -> float:
-    """The shared denominator of the squared-coefficient identities."""
-    t1, t2 = _scalar_terms(params, p, q)
-    return t1 - t2
-
-
-def theta_is_zero(params: ClassParams, p: float, q: float) -> bool:
-    """Vanishing test for ``theta``, scaled by the size of its two terms."""
-    return bool(_is_zero(*_scalar_terms(params, p, q)))
-
-
 _FLAG_P_ZERO = "p(x) = 0: the first-order coefficient identity forces a2 = 0"
 _FLAG_THETA_ZERO = "theta = 0: coefficient-functional denominator vanishes"
 
@@ -151,8 +135,10 @@ FLAG_SETS: tuple[tuple[str, ...], ...] = (
 class BoundArrays:
     """The three bounds over a broadcast grid, from :func:`bound_arrays`.
 
-    ``theta``, ``a2``, ``a3`` and their flags have the broadcast shape of
-    ``(lam, mu, delta, p, q)``; the Fekete-Szego arrays that of all six inputs.
+    ``theta``, ``theta_zero``, ``a2``, ``a3`` and their flags have the
+    broadcast shape of ``(lam, mu, delta, p, q)``; the Fekete-Szego arrays
+    that of all six inputs.  ``theta_zero`` is the vanishing test for
+    ``theta``, scaled by the size of its two terms.
     ``regime`` (of the Fekete-Szego bound) indexes :data:`REGIMES` and the
     ``*_flags`` codes index :data:`FLAG_SETS`.  The ``|a2|`` and ``|a3|``
     regimes are ``"degenerate"`` exactly where their flags are not empty.
@@ -161,6 +147,7 @@ class BoundArrays:
     """
 
     theta: np.ndarray
+    theta_zero: np.ndarray
     a2: np.ndarray
     a3: np.ndarray
     fs: np.ndarray
@@ -234,7 +221,7 @@ def bound_arrays(lam, mu, delta, p, q, upsilon) -> BoundArrays:
             np.where(p_zero, _P_ZERO, fs_flags),
         )
         regime = np.where(theta_zero | p_zero, _DEGENERATE, regime)
-    return BoundArrays(th, a2, a3, fs, regime, a2_flags, a3_flags, fs_flags)
+    return BoundArrays(th, theta_zero, a2, a3, fs, regime, a2_flags, a3_flags, fs_flags)
 
 
 @dataclass(frozen=True)
@@ -242,11 +229,11 @@ class BoundInputs:
     """A bound evaluation point: parameters plus ``p``, ``q`` and ``upsilon``.
 
     ``upsilon`` is the Fekete-Szego weight; the pure coefficient bounds
-    ignore it.  ``theta`` and ``theta_zero`` are derived once, here; a
-    point whose ``theta`` overflows is rejected like a non-finite input,
-    with a message naming the parameters when the overflow is already in
-    a factor of ``theta`` that depends on them alone.
-    The bounds themselves are evaluated on first use, once per point.
+    ignore it.  Construction makes the point's one :func:`bound_arrays`
+    call; ``theta``, ``theta_zero`` and the three bounds are all read from
+    it.  A point whose ``theta`` overflows is rejected like a non-finite
+    input, with a message naming the parameters when the overflow is
+    already in a factor of ``theta`` that depends on them alone.
     """
 
     params: ClassParams
@@ -255,6 +242,7 @@ class BoundInputs:
     upsilon: float = 1.0
     theta: float = field(init=False, compare=False, repr=False)
     theta_zero: bool = field(init=False, compare=False, repr=False)
+    _arrays: BoundArrays = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("p", "q", "upsilon"):
@@ -263,14 +251,16 @@ class BoundInputs:
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, value)
         params = self.params
-        factors = _theta_factors(params.lam, params.mu, params.delta, params.c1)
-        if not all(math.isfinite(v) for v in factors):
-            raise ValueError("theta must be finite: lambda, mu or delta is too large")
-        th = theta(params, self.p, self.q)
+        arrays = bound_arrays(params.lam, params.mu, params.delta, self.p, self.q, self.upsilon)
+        th = float(arrays.theta)
         if not math.isfinite(th):
+            factors = _theta_factors(params.lam, params.mu, params.delta, params.c1)
+            if not all(math.isfinite(v) for v in factors):
+                raise ValueError("theta must be finite: lambda, mu or delta is too large")
             raise ValueError("theta must be finite: p(x) or q(x) is too large")
         object.__setattr__(self, "theta", th)
-        object.__setattr__(self, "theta_zero", theta_is_zero(self.params, self.p, self.q))
+        object.__setattr__(self, "theta_zero", bool(arrays.theta_zero))
+        object.__setattr__(self, "_arrays", arrays)
 
     @property
     def upsilon_x(self) -> float | None:
@@ -278,11 +268,6 @@ class BoundInputs:
         if self.p == 0.0:
             return None
         return self.theta / self.p
-
-    @cached_property
-    def _arrays(self) -> BoundArrays:
-        params = self.params
-        return bound_arrays(params.lam, params.mu, params.delta, self.p, self.q, self.upsilon)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ CSV uses RFC-4180-style CRLF rows; JSON tables are one object with a
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import os
@@ -171,10 +172,13 @@ def cmd_lucas(ns: argparse.Namespace) -> int:
     worst = 0.0
     for k in range(ns.k + 1):
         rec = seq.values[k]
-        ser = gen.coefficient(k).real
-        diff = abs(rec - gen.coefficient(k))
+        ser = gen.coefficient(k)
+        if not (cmath.isfinite(rec) and cmath.isfinite(ser)):
+            print(f"error: L_{k} must be finite: p(x) or q(x) is too large", file=sys.stderr)
+            return EXIT_USAGE
+        diff = abs(rec - ser)
         worst = max(worst, diff)
-        rows.append([k, rec, ser, diff])
+        rows.append([k, rec, ser.real, diff])
     if ns.format == "json":
         payload = {
             "rows": [

@@ -75,22 +75,6 @@ class SchwarzSample:
         return cls(r1, r2, -r1, s2)
 
 
-@dataclass(frozen=True)
-class ReconstructedPair:
-    """Coefficient data rebuilt from one sample.
-
-    ``a2_sq`` comes from the squared-coefficient route and may be negative
-    (the sample need not be realizable); ``a2_abs = sqrt(|a2_sq|)``.
-    ``a2_linear`` is the first-order route ``p r1 / c1``, kept separately
-    because the two routes agree only on realizable samples.
-    """
-
-    a2_sq: float
-    a2_abs: float
-    a3: float
-    a2_linear: float
-
-
 def _a2_sq(inputs: BoundInputs, r2, s2):
     return inputs.p**3 * (r2 + s2) / inputs.theta
 
@@ -131,19 +115,6 @@ def _functional(name: str):
         return _FUNCTIONAL_TABLE[name]
     except KeyError:
         raise ValueError(f"unknown functional: {name!r}") from None
-
-
-def reconstruct(inputs: BoundInputs, sample: SchwarzSample) -> ReconstructedPair:
-    """Rebuild ``(a2, a3)`` data from one sample of the constraint box."""
-    if inputs.theta_zero:
-        raise DegenerateDenominatorError("reconstruction degenerate: theta = 0")
-    a2_sq = _a2_sq(inputs, sample.r2, sample.s2)
-    return ReconstructedPair(
-        a2_sq=a2_sq,
-        a2_abs=math.sqrt(abs(a2_sq)),
-        a3=_a3(inputs, sample.r1, sample.r2, sample.s2),
-        a2_linear=inputs.p * sample.r1 / inputs.params.c1,
-    )
 
 
 def closed_form_bound(inputs: BoundInputs, functional: str) -> float:

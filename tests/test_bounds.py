@@ -19,8 +19,6 @@ from pqlucas.bounds import (
     fekete_szego_bound,
     phi,
     preset,
-    theta,
-    theta_is_zero,
 )
 
 BISTAR = preset("bistarlike")  # (lam, mu, delta) = (1, 0, 0): c1 = 1, c2 = 2
@@ -113,25 +111,25 @@ def _finite(lo, hi):
 class TestTheta:
     def test_bistarlike_collapses_to_minus_4q(self):
         # (mu + 2 lam)(1 + mu) p^2 - 2 c1^2 (p^2 + 2q) = 2p^2 - 2p^2 - 4q
-        assert theta(BISTAR, 1.0, 1.0) == -4.0
-        assert theta(BISTAR, 1.0, 0.5) == -2.0
-        assert theta(BISTAR, 1.3, 0.7) == pytest.approx(-2.8, abs=1e-12)
+        assert BoundInputs(BISTAR, 1.0, 1.0).theta == -4.0
+        assert BoundInputs(BISTAR, 1.0, 0.5).theta == -2.0
+        assert BoundInputs(BISTAR, 1.3, 0.7).theta == pytest.approx(-2.8, abs=1e-12)
 
     def test_general_point(self):
         params = ClassParams(1.0, 2.0, 1.0)  # c1 = 17/3
         # mass = (2 + 2)(1 + 2 + 4) = 28
         want = 28.0 * 4.0 - 2.0 * (17.0 / 3.0) ** 2 * (4.0 + 2.0)
-        assert abs(theta(params, 2.0, 1.0) - want) <= 1e-9
+        assert abs(BoundInputs(params, 2.0, 1.0).theta - want) <= 1e-9
 
     def test_srivastava_point(self):
         # (1, 1, 0): mass = 3 * 2 = 6, c1 = 2, so theta = 6 - 8 = -2 at p=1, q=0
-        assert theta(preset("srivastava"), 1.0, 0.0) == -2.0
+        assert BoundInputs(preset("srivastava"), 1.0, 0.0).theta == -2.0
 
     def test_zero_detection_is_scale_relative(self):
-        assert theta_is_zero(BISTAR, 1.0, 0.0)
-        assert not theta_is_zero(BISTAR, 1.0, 1e-3)
+        assert BoundInputs(BISTAR, 1.0, 0.0).theta_zero
+        assert not BoundInputs(BISTAR, 1.0, 1e-3).theta_zero
         # at p ~ 1e6 the two terms are ~2e12, so q = 1e-3 is lost in them
-        assert theta_is_zero(BISTAR, 1e6, 1e-3)
+        assert BoundInputs(BISTAR, 1e6, 1e-3).theta_zero
 
 
 class TestBoundInputs:
@@ -339,8 +337,9 @@ class TestArrayCore:
             for j, (pv, qv) in enumerate(points):
                 for k, u in enumerate(upsilons):
                     inputs = BoundInputs(c, pv, qv, u)
-                    want_theta, _ = _ref_theta(c, pv, qv)
+                    want_theta, want_zero = _ref_theta(c, pv, qv)
                     assert repr(float(table.theta[i, j, 0])) == repr(want_theta)
+                    assert (repr(inputs.theta), inputs.theta_zero) == (repr(want_theta), want_zero)
                     for view, ref, value, code, regime in (
                         (bound_a2, reference_a2, table.a2[i, j, 0], table.a2_flags[i, j, 0],
                          None),
@@ -386,7 +385,9 @@ class TestArrayCore:
         core = bounds.bound_arrays
         monkeypatch.setattr(bounds, "bound_arrays", lambda *a: calls.append(a) or core(*a))
         inputs = BoundInputs(BISTAR, 1.0, 1.0, upsilon=3.0)
-        assert calls == []  # not at construction: rejected draws never pay for it
+        # The one call is made at construction, where theta comes from it;
+        # verify's draws rejected on |theta| pay for it (about 1% of them).
+        assert len(calls) == 1
         for view in (bound_a2, bound_a3, fekete_szego_bound, bound_a2):
             view(inputs)
         assert len(calls) == 1

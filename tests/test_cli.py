@@ -65,6 +65,16 @@ class TestLucas:
         assert code == EXIT_VERIFY_FAILED
         assert "lucas_recurrence" in out  # table still emitted
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("p, first", [("1e200", 2), ("1e100", 4)])
+    def test_overflowing_recurrence_is_usage_error(self, capsys, fmt, p, first):
+        # L_k overflows at k = first; before, the table carried inf and nan
+        # cells (NaN in JSON is not JSON) and the nan diff still passed
+        code, out, err = run(capsys, ["lucas", "--p", p, "--k", "4", "--format", fmt])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: L_{first} must be finite: p(x) or q(x) is too large\n"
+
     def test_malformed_polynomial(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["lucas", "--p", "1;2"])

@@ -96,5 +96,6 @@ def test_theta(derived, symbolic_params):
     theta_a2_squared = sympy.expand(l1**2 * (d2 + i2) - 2 * l2 * d1**2)
     theta_derived = sympy.cancel(theta_a2_squared / a2**2)
     assert not theta_derived.free_symbols & {a2, a3}
-    closed = exact(bounds.theta(symbolic_params, p, q))
+    t1, t2 = bounds._theta_terms(lam, mu, delta, symbolic_params.c1, p, q)
+    closed = exact(t1 - t2)
     assert sympy.simplify(theta_derived - closed) == 0

@@ -1,4 +1,4 @@
-"""Brute-force sweeps: reconstruction routes, suprema vs bounds, sampling."""
+"""Brute-force sweeps: sample box, suprema vs bounds, sampling."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pqlucas import oracle
-from pqlucas.bioperator import ClassParams, apply_operator
 from pqlucas.bounds import BoundInputs, DegenerateDenominatorError, preset
 from pqlucas.oracle import (
     FUNCTIONALS,
@@ -16,11 +15,9 @@ from pqlucas.oracle import (
     SupremumReport,
     closed_form_bound,
     random_inputs,
-    reconstruct,
     sweep_max,
     verify_bounds,
 )
-from pqlucas.series import FunctionSpec
 
 BISTAR_11 = BoundInputs(preset("bistarlike"), p=1.0, q=1.0)  # theta = -4
 
@@ -81,45 +78,6 @@ class TestSchwarzSample:
     def test_mirror_violation(self):
         with pytest.raises(ValueError, match="s1 must equal -r1"):
             SchwarzSample(0.5, 0.0, 0.5, 0.0)
-
-
-class TestReconstruct:
-    def test_zero_sample(self):
-        pair = reconstruct(BISTAR_11, SchwarzSample.free(0.0, 0.0, 0.0))
-        assert pair.a2_sq == 0.0
-        assert pair.a2_abs == 0.0
-        assert pair.a3 == 0.0
-        assert pair.a2_linear == 0.0
-
-    def test_antisymmetric_second_coefficients(self):
-        # r2 = -s2 kills the a2^2 route but feeds both a3 terms
-        pair = reconstruct(BISTAR_11, SchwarzSample.free(0.5, 0.5, -0.5))
-        assert pair.a2_sq == 0.0
-        assert pair.a3 == pytest.approx(0.5, abs=1e-15)
-        assert pair.a2_linear == pytest.approx(0.5, abs=1e-15)
-
-    def test_negative_square_route(self):
-        # the sample box is larger than the realizable set, so the squared
-        # route may go negative; |a2| uses its absolute value
-        pair = reconstruct(BISTAR_11, SchwarzSample.free(0.0, 1.0, 1.0))
-        assert pair.a2_sq == pytest.approx(-0.5, abs=1e-15)
-        assert pair.a2_abs == pytest.approx(math.sqrt(0.5), abs=1e-15)
-        assert pair.a3 == 0.0
-
-    def test_degenerate_theta_raises(self):
-        inputs = BoundInputs(preset("bistarlike"), p=1.0, q=0.0)
-        with pytest.raises(DegenerateDenominatorError, match="reconstruction degenerate"):
-            reconstruct(inputs, SchwarzSample.free(0.1, 0.1, 0.1))
-
-    def test_linear_route_matches_operator_pipeline(self):
-        # f = z + a2_linear z^2 + a3 z^3 reproduces p r1 in the operator's
-        # first coefficient on both sides, tying the sweep to the expansion
-        params = ClassParams(1.5, 0.5, 0.25)
-        inputs = BoundInputs(params, p=1.2, q=0.3)
-        sample = SchwarzSample.free(0.7, 0.2, -0.4)
-        pair = reconstruct(inputs, sample)
-        out = apply_operator(params, FunctionSpec((pair.a2_linear, pair.a3)))
-        assert abs(out.coefficient(1) - inputs.p * sample.r1) <= 1e-9
 
 
 class TestSweepMax:
