@@ -16,13 +16,13 @@ from .series import (
     TruncatedSeries,
     compose,
     derivative,
+    eval_poly,
     pow_real,
     revert_series,
 )
 from .lucas import (
     LucasSequence,
     PolyPair,
-    eval_poly,
     generating_series,
     lucas_sequence,
 )
@@ -46,7 +46,6 @@ from .bounds import (
     bound_a3,
     bound_arrays,
     fekete_szego_bound,
-    phi,
     preset,
 )
 from .oracle import (
@@ -67,11 +66,11 @@ __all__ = [
     "TruncatedSeries",
     "compose",
     "derivative",
+    "eval_poly",
     "pow_real",
     "revert_series",
     "LucasSequence",
     "PolyPair",
-    "eval_poly",
     "generating_series",
     "lucas_sequence",
     "ClassParams",
@@ -91,7 +90,6 @@ __all__ = [
     "bound_a3",
     "bound_arrays",
     "fekete_szego_bound",
-    "phi",
     "preset",
     "FUNCTIONALS",
     "MODES",

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import series as ps
-from .series import FunctionSpec, TruncatedSeries, revert_series
+from .series import FunctionSpec, TruncatedSeries, eval_poly, revert_series
 
 MEMBERSHIP_MODES = ("operator", "starlike", "convex")
 
@@ -150,16 +150,18 @@ class CoefficientIdentityReport:
     """Pipeline vs closed-form values for the four operator coefficients.
 
     Order of entries: direct ``z``, direct ``z^2``, inverse ``w``,
-    inverse ``w^2``.
+    inverse ``w^2``.  ``direct`` is the expanded series of ``D[f]``.
     """
 
     pipeline: tuple[complex, complex, complex, complex]
     closed_form: tuple[float, float, float, float]
     residuals: tuple[float, float, float, float]
+    direct: TruncatedSeries
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals)
+        """The largest residual; NaN when any residual is NaN."""
+        return float(np.max(self.residuals))
 
 
 def extract_coefficient_identities(
@@ -185,7 +187,7 @@ def extract_coefficient_identities(
         inverse_quadratic_coefficient(params, a2, a3),
     )
     residuals = tuple(abs(pipe - ref) for pipe, ref in zip(pipeline, closed))
-    return CoefficientIdentityReport(pipeline, closed, residuals)
+    return CoefficientIdentityReport(pipeline, closed, residuals, direct)
 
 
 @dataclass(frozen=True)
@@ -235,13 +237,6 @@ class MembershipReport:
     flagged: tuple[complex, ...] = ()
 
 
-def _horner(coeffs: tuple[float, ...], z: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(z)
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
 def _radial_log(ratio: np.ndarray, grid: DiskGrid) -> np.ndarray:
     """``log`` of ``ratio = f(z)/z`` on the grid, continued from ``z = 0``.
 
@@ -279,42 +274,43 @@ def check_membership_realpart(
 
     The minimum is an order-independent reduction, so any partition of the
     grid yields the same report; ties pick the first point in (radius,
-    angle) order.
+    angle) order.  A real part that overflows to ``inf`` or ``nan`` at an
+    evaluated point raises ``ValueError``.
     """
     if mode not in MEMBERSHIP_MODES:
         raise ValueError(f"unknown membership mode: {mode!r}")
     z = grid.points()
     coeffs = f.full_coefficients()
-    fz = _horner(coeffs, z)
     d1 = tuple((k + 1) * c for k, c in enumerate(coeffs[1:]))
-    fpz = _horner(d1, z)
     d2 = tuple((k + 1) * (k + 2) * c for k, c in enumerate(coeffs[2:]))
 
-    if mode == "starlike":
-        denom = fz
-    elif mode == "convex":
-        denom = fpz
-    else:
-        denom = fz / z  # the ratio raised to real powers below
-    valid = np.abs(denom) >= _DENOMINATOR_TOL
-    if mode == "operator":
-        # Past a zero of f/z the branch continued along its ray is
-        # undetermined, so the rest of that ray is flagged as well.
-        rays = valid.reshape(grid.n_radii, grid.n_angles)
-        valid = np.logical_and.accumulate(rays, axis=0).ravel()
-    zv = z[valid]
-
     with np.errstate(all="ignore"):
+        fz = eval_poly(coeffs, z)
+        fpz = eval_poly(d1, z)
+        if mode == "starlike":
+            denom = fz
+        elif mode == "convex":
+            denom = fpz
+        else:
+            denom = fz / z  # the ratio raised to real powers below
+        valid = np.abs(denom) >= _DENOMINATOR_TOL
+        if mode == "operator":
+            # Past a zero of f/z the branch continued along its ray is
+            # undetermined, so the rest of that ray is flagged as well.
+            rays = valid.reshape(grid.n_radii, grid.n_angles)
+            valid = np.logical_and.accumulate(rays, axis=0).ravel()
+        zv = z[valid]
+
         if mode == "starlike":
             values = zv * fpz[valid] / fz[valid]
         elif mode == "convex":
-            values = 1.0 + zv * _horner(d2, zv) / fpz[valid]
+            values = 1.0 + zv * eval_poly(d2, zv) / fpz[valid]
         else:
             log_ratio = _radial_log(denom, grid)[valid]
             values = (
                 (1.0 - params.lam) * np.exp(params.mu * log_ratio)
                 + params.lam * fpz[valid] * np.exp((params.mu - 1.0) * log_ratio)
-                + params.xi * params.delta * zv * _horner(d2, zv)
+                + params.xi * params.delta * zv * eval_poly(d2, zv)
             )
 
     flagged = tuple(complex(w) for w in z[~valid])
@@ -323,6 +319,8 @@ def check_membership_realpart(
             mode, params.alpha, False, math.inf, math.inf, None, 0, flagged
         )
     re = values.real
+    if not np.isfinite(re).all():
+        raise ValueError("member values must be finite: coefficients or parameters are too large")
     idx = int(np.argmin(re))
     min_re = float(re[idx])
     return MembershipReport(

@@ -16,8 +16,7 @@ where
 Every bound is returned as a :class:`BoundReport` rather than a bare float:
 degenerate inputs (``theta = 0`` or ``p = 0``) produce a value of 0 or
 ``inf`` with an explanatory flag, never an exception or a NaN, so sweep
-tables stay total.  :func:`phi` is the one function here that raises on a
-vanishing denominator, because a ratio has no sensible sentinel value.
+tables stay total.
 
 All three bounds are evaluated in one place, :func:`bound_arrays`, over
 numpy arrays that broadcast against each other; it returns values plus
@@ -64,10 +63,11 @@ class DegenerateDenominatorError(ValueError):
 
 
 def _pow(base, exponent: float):
-    """Python's float ``**`` on ``base`` or on each element of it; inf on overflow.
+    """Python's float ``**`` on each element of ``base``; inf on overflow.
 
     numpy's ``power`` (and its ``square`` shortcut) can differ from it in
-    the last bit, so the array core and the scalar functions share this rule.
+    the last bit on some inputs, and the golden outputs were made with
+    Python's ``**``, so this rule keeps their bytes.
     """
 
     def one(b: float) -> float:
@@ -76,8 +76,6 @@ def _pow(base, exponent: float):
         except OverflowError:
             return UNBOUNDED
 
-    if isinstance(base, float):
-        return one(float(base))
     return np.reshape([one(b) for b in np.ravel(base).tolist()], np.shape(base))
 
 
@@ -262,17 +260,10 @@ class BoundInputs:
         object.__setattr__(self, "theta_zero", bool(arrays.theta_zero))
         object.__setattr__(self, "_arrays", arrays)
 
-    @property
-    def upsilon_x(self) -> float | None:
-        """The scaled denominator ``theta / p``; ``None`` when ``p = 0``."""
-        if self.p == 0.0:
-            return None
-        return self.theta / self.p
-
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A bound value plus the regime tag, denominators and degeneracy flags.
+    """A bound value plus the regime tag and degeneracy flags.
 
     ``value`` is a nonnegative float; ``math.inf`` encodes UNBOUNDED.  For
     the single-branch coefficient bounds the regime is ``"case1"`` unless
@@ -282,53 +273,30 @@ class BoundReport:
 
     value: float
     regime: str
-    theta: float
-    upsilon_x: float | None
     flags: tuple[str, ...] = ()
 
     @property
     def is_unbounded(self) -> bool:
         return math.isinf(self.value)
 
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "regime": self.regime,
-            "theta": self.theta,
-            "upsilon_x": self.upsilon_x,
-            "flags": list(self.flags),
-        }
 
-
-def _report(inputs: BoundInputs, value, flag_code, regime: str | None = None) -> BoundReport:
+def _report(value, flag_code, regime: str | None = None) -> BoundReport:
     flags = FLAG_SETS[int(flag_code)]
     if regime is None:
         regime = "degenerate" if flags else "case1"
-    return BoundReport(float(value), regime, inputs.theta, inputs.upsilon_x, flags)
+    return BoundReport(float(value), regime, flags)
 
 
 def bound_a2(inputs: BoundInputs) -> BoundReport:
     """Second-coefficient bound ``2 |p|^{3/2} / sqrt(|theta|)``."""
     arrays = inputs._arrays
-    return _report(inputs, arrays.a2, arrays.a2_flags)
+    return _report(arrays.a2, arrays.a2_flags)
 
 
 def bound_a3(inputs: BoundInputs) -> BoundReport:
     """Third-coefficient bound ``p^2 / c1^2 + |p| / c2``."""
     arrays = inputs._arrays
-    return _report(inputs, arrays.a3, arrays.a3_flags)
-
-
-def phi(inputs: BoundInputs) -> float:
-    """The weight ratio ``p^2 (1 - upsilon) / theta``.
-
-    Raises :class:`DegenerateDenominatorError` when ``theta`` vanishes.
-    """
-    if inputs.theta_zero:
-        raise DegenerateDenominatorError(
-            "phi undefined: coefficient-bound denominator vanishes (theta = 0)"
-        )
-    return _phi(inputs.p, inputs.upsilon, inputs.theta)
+    return _report(arrays.a3, arrays.a3_flags)
 
 
 def fekete_szego_bound(inputs: BoundInputs) -> BoundReport:
@@ -341,7 +309,7 @@ def fekete_szego_bound(inputs: BoundInputs) -> BoundReport:
     ``upsilon = 1``, where ``phi -> 0`` and the case1 value survives.
     """
     arrays = inputs._arrays
-    return _report(inputs, arrays.fs, arrays.fs_flags, REGIMES[int(arrays.regime)])
+    return _report(arrays.fs, arrays.fs_flags, REGIMES[int(arrays.regime)])
 
 
 def preset(name: str, **overrides: float) -> ClassParams:

@@ -34,7 +34,6 @@ import numpy as np
 from .bioperator import (
     ClassParams,
     DiskGrid,
-    apply_operator,
     check_membership_realpart,
     extract_coefficient_identities,
 )
@@ -47,9 +46,9 @@ from .bounds import (
     BoundInputs,
     bound_arrays,
 )
-from .lucas import PolyPair, eval_poly, generating_series, lucas_sequence
+from .lucas import PolyPair, generating_series, lucas_sequence
 from .oracle import FUNCTIONALS, MODES, draw_params, random_inputs, verify_bounds
-from .series import FunctionSpec, to_json_coeffs, to_json_number
+from .series import FunctionSpec, eval_poly, to_json_coeffs, to_json_number
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -199,14 +198,17 @@ def cmd_lucas(ns: argparse.Namespace) -> int:
 
 def _identity_payload(params: ClassParams, f: FunctionSpec, tol: float) -> dict:
     report = extract_coefficient_identities(params, f)
-    direct = apply_operator(params, f, order=2)
+    if not all(cmath.isfinite(v) for v in report.pipeline + report.closed_form):
+        raise ValueError(
+            "operator coefficients must be finite: a2, a3, lambda, mu or delta is too large"
+        )
     return {
         "lambda": params.lam,
         "mu": params.mu,
         "delta": params.delta,
         "a2": f.coefficient(2),
         "a3": f.coefficient(3),
-        "series": to_json_coeffs(direct),
+        "series": to_json_coeffs(report.direct),
         "coeff_z": to_json_number(report.pipeline[0]),
         "coeff_z2": to_json_number(report.pipeline[1]),
         "coeff_w": to_json_number(report.pipeline[2]),
@@ -246,10 +248,10 @@ def cmd_member(ns: argparse.Namespace) -> int:
         params = ClassParams(ns.lam, ns.mu, ns.delta, ns.alpha)
         f = FunctionSpec(ns.coeffs if ns.coeffs is not None else ())
         grid = DiskGrid(ns.r_max, ns.radii, ns.angles)
+        report = check_membership_realpart(params, f, grid, ns.mode)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = check_membership_realpart(params, f, grid, ns.mode)
     payload = {
         "mode": report.mode,
         "alpha": report.alpha,

@@ -14,18 +14,9 @@ route to every ``L_k`` for cross-checking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
 
-from .series import TruncatedSeries, div, series
-
-
-def eval_poly(coeffs: Sequence[float], x: float) -> float:
-    """Evaluate a dense ascending coefficient list at ``x`` (Horner)."""
-    acc = 0.0
-    for c in reversed(tuple(coeffs)):
-        acc = acc * x + float(c)
-    return acc
+from .series import TruncatedSeries, div, eval_poly, series
 
 
 @dataclass(frozen=True)
@@ -34,27 +25,23 @@ class PolyPair:
 
     ``p_coeffs`` and ``q_coeffs`` are dense ascending coefficient lists, so
     ``p_coeffs=(0, 1)`` means ``p(x) = x`` and ``q_coeffs=(1,)`` means
-    ``q(x) = 1``.
+    ``q(x) = 1``.  ``p`` and ``q`` hold the values ``p(x)`` and ``q(x)``.
     """
 
     p_coeffs: tuple[float, ...]
     q_coeffs: tuple[float, ...]
     x: float
+    p: float = field(init=False, repr=False, compare=False)
+    q: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p_coeffs", tuple(float(c) for c in self.p_coeffs))
         object.__setattr__(self, "q_coeffs", tuple(float(c) for c in self.q_coeffs))
         object.__setattr__(self, "x", float(self.x))
+        object.__setattr__(self, "p", eval_poly(self.p_coeffs, self.x))
+        object.__setattr__(self, "q", eval_poly(self.q_coeffs, self.x))
         if not (math.isfinite(self.p) and math.isfinite(self.q)):
             raise ValueError("p(x) and q(x) must evaluate to finite values")
-
-    @property
-    def p(self) -> float:
-        return eval_poly(self.p_coeffs, self.x)
-
-    @property
-    def q(self) -> float:
-        return eval_poly(self.q_coeffs, self.x)
 
 
 @dataclass(frozen=True)
@@ -62,9 +49,6 @@ class LucasSequence:
     """Values ``(L_0, ..., L_K)`` of a (p,q)-Lucas sequence."""
 
     values: tuple[float, ...]
-
-    def __getitem__(self, k: int) -> float:
-        return self.values[k]
 
 
 def lucas_sequence(pair: PolyPair, k_max: int) -> LucasSequence:

@@ -180,6 +180,17 @@ def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
     return acc
 
 
+def eval_poly(coeffs: Sequence[complex], x):
+    """Evaluate a dense ascending coefficient list at ``x`` (Horner).
+
+    ``x`` may be a number or a numpy array, evaluated elementwise.
+    """
+    acc = 0.0
+    for c in reversed(tuple(coeffs)):
+        acc = acc * x + c
+    return acc
+
+
 @dataclass(frozen=True)
 class FunctionSpec:
     """Taylor data ``(a2, ..., aM)`` of ``f(z) = z + a2 z^2 + ... + aM z^M``.

@@ -75,9 +75,9 @@ def test_criterion_2_lucas_sequences():
         seq = lucas_sequence(pair, 12)
         gen = generating_series(pair, 12)
         for k in range(13):
-            rel = abs(seq[k] - gen.coefficient(k)) / max(1.0, abs(seq[k]))
+            rel = abs(seq.values[k] - gen.coefficient(k)) / max(1.0, abs(seq.values[k]))
             worst_rel = max(worst_rel, rel)
-        worst_l2 = max(worst_l2, abs(seq[2] - (p * p + 2.0 * q)))
+        worst_l2 = max(worst_l2, abs(seq.values[2] - (p * p + 2.0 * q)))
     ok = worst_rel <= 1e-9 and worst_l2 == 0.0  # the k = 2 term is exact
     report(2, "lucas sequences", ok, f"rel={worst_rel:.2e} l2={worst_l2:.2e}")
 

@@ -175,6 +175,18 @@ class TestIdentityExtraction:
         report = extract_coefficient_identities(ClassParams(1.0, 1.0, 0.0), FunctionSpec((0.5, 0.25)))
         assert report.max_residual <= 1e-12
 
+    def test_report_carries_direct_series(self):
+        params, f = ClassParams(2.5, 1.7, 1.2), FunctionSpec((0.37, -0.21))
+        report = extract_coefficient_identities(params, f)
+        assert report.direct == apply_operator(params, f, order=2)
+
+    def test_max_residual_is_nan_when_a_residual_is(self):
+        # a2^2 overflows in the pipeline's [z^2]; Python's max would skip the NaN
+        params, f = ClassParams(1.0, 1.0, 0.0), FunctionSpec((1e160, 0.0))
+        report = extract_coefficient_identities(params, f)
+        assert any(math.isnan(r) for r in report.residuals)
+        assert math.isnan(report.max_residual)
+
     def test_needs_both_coefficients(self):
         with pytest.raises(ValueError, match="needs coefficients a2 and a3"):
             extract_coefficient_identities(ClassParams(1.0, 1.0, 0.0), FunctionSpec((0.5,)))

@@ -12,12 +12,10 @@ from pqlucas.bounds import (
     FLAG_SETS,
     REGIMES,
     BoundInputs,
-    DegenerateDenominatorError,
     bound_a2,
     bound_a3,
     bound_arrays,
     fekete_szego_bound,
-    phi,
     preset,
 )
 
@@ -140,10 +138,6 @@ class TestBoundInputs:
         # theta = mass L1^2 - 2 c1^2 L2, with mass = 2 and c1 = 1 here
         assert inputs.theta == 2.0 * l1 * l1 - 2.0 * l2 == -4.0
         assert inputs.theta_zero is False
-        assert inputs.upsilon_x == -2.0
-
-    def test_upsilon_x_none_at_p_zero(self):
-        assert BoundInputs(BISTAR, p=0.0, q=1.0).upsilon_x is None
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -205,17 +199,6 @@ class TestBoundA3:
         report = bound_a3(BoundInputs(BISTAR, 0.0, 1.0))
         assert report.value == 0.0
         assert report.regime == "degenerate"
-
-
-class TestPhi:
-    def test_values(self):
-        assert phi(BoundInputs(BISTAR, 1.0, 1.0, upsilon=1.0)) == 0.0
-        assert phi(BoundInputs(BISTAR, 1.0, 1.0, upsilon=0.0)) == pytest.approx(-0.25)
-        assert phi(BoundInputs(BISTAR, 2.0, 1.0, upsilon=2.0)) == pytest.approx(1.0)
-
-    def test_raises_on_vanishing_theta(self):
-        with pytest.raises(DegenerateDenominatorError, match="phi undefined"):
-            phi(BoundInputs(BISTAR, 1.0, 0.0, upsilon=2.0))
 
 
 class TestFeketeSzego:
@@ -290,11 +273,6 @@ class TestFeketeSzego:
             report = fekete_szego_bound(BoundInputs(BISTAR, 1.0, 1.0, upsilon=u))
             assert report.flags == ()
 
-    def test_as_dict_shape(self):
-        d = fekete_szego_bound(BoundInputs(BISTAR, 1.0, 1.0, upsilon=3.0)).as_dict()
-        assert set(d) == {"value", "regime", "theta", "upsilon_x", "flags"}
-        assert d["flags"] == []
-
 
 class TestArrayCore:
     """bound_arrays and its 0-d views against the scalar reference, bit for bit."""
@@ -351,7 +329,6 @@ class TestArrayCore:
                         want = _key(*ref(c, pv, qv, u))
                         report = view(inputs)
                         assert _key(report.value, report.regime, report.flags) == want
-                        assert repr(report.theta) == repr(want_theta)
                         flags = FLAG_SETS[code]
                         if regime is None:
                             regime = "degenerate" if flags else "case1"

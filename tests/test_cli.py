@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from pqlucas import cli
+from pqlucas import bioperator, cli
 from pqlucas.bounds import FLAG_SETS, REGIMES
 from pqlucas.cli import (
     EXIT_IO,
@@ -127,6 +127,34 @@ class TestOperator:
         assert payload["coeff_w2"] == -3e250
         assert payload["residuals"][3] == 0.0
 
+    @pytest.mark.parametrize("a2, a3", [("1e160", "0"), ("1e200", "1e200")])
+    def test_overflowing_coefficient_is_usage_error(self, capsys, a2, a3):
+        # coeff_z2 and coeff_w2 came out NaN here, and Python's max skips a
+        # NaN, so the row reported max_residual 0.0 and passed
+        code, out, err = run(capsys, ["operator", "--a2", a2, "--a3", a3])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (
+            "error: operator coefficients must be finite: "
+            "a2, a3, lambda, mu or delta is too large\n"
+        )
+
+    def test_output_bytes(self, capsys):
+        code, out, err = run(capsys, ["operator", "--seed", "7", "--draws", "20"])
+        assert (code, err) == (EXIT_OK, "")
+        assert out == (GOLDEN / "operator_seed7.json").read_bytes().decode("utf-8")
+
+    def test_two_operator_expansions_per_row(self, capsys, monkeypatch):
+        # D[f] and D[f^-1]; the printed series is the identity report's own D[f]
+        calls = []
+        expand = bioperator._operator_series
+        monkeypatch.setattr(
+            bioperator, "_operator_series", lambda *args: calls.append(1) or expand(*args)
+        )
+        code, _, _ = run(capsys, ["operator", "--seed", "7", "--draws", "5"])
+        assert code == EXIT_OK
+        assert len(calls) == 2 * 5
+
     def test_bad_params(self, capsys):
         code, _, err = run(capsys, ["operator", "--lambda", "0.2"])
         assert code == EXIT_USAGE
@@ -167,6 +195,31 @@ class TestMember:
         payload = json.loads(out)
         assert payload["n_points"] == 7
         assert payload["flagged_points"] == [[pytest.approx(0.5), pytest.approx(0.0)]]
+
+    @pytest.mark.parametrize("coeffs", [["1e200,1e200", "--mu", "3"], ["1e308,1e308"]])
+    def test_overflowing_values_are_usage_error(self, capsys, coeffs):
+        # printed "min_real_part": NaN; at 1e308 numpy RuntimeWarnings also
+        # reached stderr, which filterwarnings = error turns into a failure
+        code, out, err = run(capsys, ["member", "--coeffs", *coeffs])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (
+            "error: member values must be finite: coefficients or parameters are too large\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, exit_code, golden",
+        [
+            (["--coeffs", "0.9,0.4", "--mu", "2.5", "--lambda", "1.7", "--delta", "0.3"],
+             EXIT_VERIFY_FAILED, "member_operator.json"),
+            (["--coeffs", "0.2,-0.1,0.05", "--mode", "starlike"], EXIT_OK, "member_starlike.json"),
+            (["--coeffs", "0.3,0.1", "--mode", "convex"], EXIT_OK, "member_convex.json"),
+        ],
+    )
+    def test_output_bytes(self, capsys, argv, exit_code, golden):
+        code, out, err = run(capsys, ["member", *argv])
+        assert (code, err) == (exit_code, "")
+        assert out == (GOLDEN / golden).read_bytes().decode("utf-8")
 
 
 class TestBoundsTable:

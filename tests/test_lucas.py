@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pqlucas import series as ps
+from pqlucas import lucas, series as ps
 from pqlucas.lucas import PolyPair, eval_poly, generating_series, lucas_sequence
 
 small = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -32,7 +32,7 @@ class TestPolyPair:
     def test_quadratic_term_is_exact(self):
         pair = PolyPair((0.0, 2.0), (0.0, 0.0, 1.0), 1.5)  # p=2x, q=x^2
         p, q = 3.0, 2.25
-        assert lucas_sequence(pair, 2)[2] == p * p + 2 * q
+        assert lucas_sequence(pair, 2).values[2] == p * p + 2 * q
 
     def test_rejects_non_finite_evaluation(self):
         with pytest.raises(ValueError):
@@ -56,8 +56,17 @@ class TestRecurrence:
     def test_indexing(self):
         pair = PolyPair((0.0, 1.0), (1.0,), 1.0)
         seq = lucas_sequence(pair, 4)
-        assert seq[0] == 2.0
-        assert seq[4] == 7.0
+        assert seq.values[0] == 2.0
+        assert seq.values[4] == 7.0
+
+    def test_polynomials_evaluated_once(self, monkeypatch):
+        calls = []
+        evaluate = lucas.eval_poly
+        monkeypatch.setattr(
+            lucas, "eval_poly", lambda coeffs, x: calls.append(coeffs) or evaluate(coeffs, x)
+        )
+        lucas_sequence(PolyPair((0.0, 1.0), (1.0, 0.5), 2.0), 10)
+        assert calls == [(0.0, 1.0), (1.0, 0.5)]
 
     def test_negative_k_max_raises(self):
         pair = PolyPair((0.0, 1.0), (1.0,), 1.0)
@@ -69,7 +78,7 @@ class TestRecurrence:
     def test_l2_closed_form(self, p, q):
         pair = PolyPair((p,), (q,), 0.0)
         seq = lucas_sequence(pair, 2)
-        assert abs(seq[2] - (p * p + 2 * q)) <= 1e-12
+        assert abs(seq.values[2] - (p * p + 2 * q)) <= 1e-12
 
 
 class TestGeneratingSeries:
@@ -90,8 +99,8 @@ class TestGeneratingSeries:
             seq = lucas_sequence(pair, 8)
             gen = generating_series(pair, 8)
             for k in range(9):
-                scale = max(1.0, abs(seq[k]))
-                assert abs(gen.coefficient(k) - seq[k]) <= 1e-9 * scale
+                scale = max(1.0, abs(seq.values[k]))
+                assert abs(gen.coefficient(k) - seq.values[k]) <= 1e-9 * scale
 
     def test_weighted_composition_extracts_l1_l2(self):
         # Composing the generating series with r1 z + r2 z^2 puts
@@ -101,5 +110,5 @@ class TestGeneratingSeries:
         inner = ps.series([0.0, r1, r2])
         out = ps.compose(generating_series(pair, 2), inner)
         seq = lucas_sequence(pair, 2)
-        want = seq[1] * r2 + seq[2] * r1 * r1
+        want = seq.values[1] * r2 + seq.values[2] * r1 * r1
         assert abs(out.coefficient(2) - want) <= 1e-12
