@@ -55,8 +55,6 @@ PRESET_PINS: dict[str, dict[str, float]] = {
     "mu1": {"mu": 1.0},
 }
 
-PRESET_NAMES = tuple(PRESET_PINS)
-
 
 class DegenerateDenominatorError(ValueError):
     """A vanishing denominator makes the requested quantity undefined."""

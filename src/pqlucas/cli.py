@@ -39,7 +39,6 @@ from .bioperator import (
 )
 from .bounds import (
     FLAG_SETS,
-    PRESET_NAMES,
     PRESET_PINS,
     REGIMES,
     BoundArrays,
@@ -102,6 +101,8 @@ def _range_type(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError("range stop must be >= start")
     if steps == 1:
         return (start,)
+    if not cmath.isfinite(stop - start):
+        raise argparse.ArgumentTypeError("range span must be finite")
     return tuple(float(v) for v in np.linspace(start, stop, steps))
 
 
@@ -160,11 +161,7 @@ def _json_text(obj) -> str:
 # ----------------------------------------------------------------- lucas
 
 def cmd_lucas(ns: argparse.Namespace) -> int:
-    try:
-        pair = PolyPair(ns.p, ns.q, ns.x)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    pair = PolyPair(ns.p, ns.q, ns.x)
     seq = lucas_sequence(pair, ns.k)
     gen = generating_series(pair, ns.k)
     rows = []
@@ -173,8 +170,7 @@ def cmd_lucas(ns: argparse.Namespace) -> int:
         rec = seq.values[k]
         ser = gen.coefficient(k)
         if not (cmath.isfinite(rec) and cmath.isfinite(ser)):
-            print(f"error: L_{k} must be finite: p(x) or q(x) is too large", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"L_{k} must be finite: p(x) or q(x) is too large")
         diff = abs(rec - ser)
         worst = max(worst, diff)
         rows.append([k, rec, ser.real, diff])
@@ -221,37 +217,29 @@ def _identity_payload(params: ClassParams, f: FunctionSpec, tol: float) -> dict:
 
 
 def cmd_operator(ns: argparse.Namespace) -> int:
-    try:
-        if ns.seed is None:
-            params = ClassParams(ns.lam, ns.mu, ns.delta)
-            payload = _identity_payload(params, FunctionSpec((ns.a2, ns.a3)), ns.tol)
-            all_pass = payload["pass"]
-        else:
-            rng = np.random.default_rng(ns.seed)
-            rows = []
-            for _ in range(ns.draws):
-                params = draw_params(rng)
-                f = FunctionSpec((rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)))
-                rows.append(_identity_payload(params, f, ns.tol))
-            all_pass = all(r["pass"] for r in rows)
-            payload = {"seed": ns.seed, "rows": rows, "all_pass": all_pass}
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if ns.seed is None:
+        params = ClassParams(ns.lam, ns.mu, ns.delta)
+        payload = _identity_payload(params, FunctionSpec((ns.a2, ns.a3)), ns.tol)
+        all_pass = payload["pass"]
+    else:
+        rng = np.random.default_rng(ns.seed)
+        rows = []
+        for _ in range(ns.draws):
+            params = draw_params(rng)
+            f = FunctionSpec((rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)))
+            rows.append(_identity_payload(params, f, ns.tol))
+        all_pass = all(r["pass"] for r in rows)
+        payload = {"seed": ns.seed, "rows": rows, "all_pass": all_pass}
     return _emit_verdict(_json_text(payload), ns.out, all_pass)
 
 
 # ---------------------------------------------------------------- member
 
 def cmd_member(ns: argparse.Namespace) -> int:
-    try:
-        params = ClassParams(ns.lam, ns.mu, ns.delta, ns.alpha)
-        f = FunctionSpec(ns.coeffs if ns.coeffs is not None else ())
-        grid = DiskGrid(ns.r_max, ns.radii, ns.angles)
-        report = check_membership_realpart(params, f, grid, ns.mode)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    params = ClassParams(ns.lam, ns.mu, ns.delta, ns.alpha)
+    f = FunctionSpec(ns.coeffs if ns.coeffs is not None else ())
+    grid = DiskGrid(ns.r_max, ns.radii, ns.angles)
+    report = check_membership_realpart(params, f, grid, ns.mode)
     payload = {
         "mode": report.mode,
         "alpha": report.alpha,
@@ -269,13 +257,13 @@ def cmd_member(ns: argparse.Namespace) -> int:
 
 # --------------------------------------------------------- bounds/fekete
 
-def _apply_preset(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+def _apply_preset(ns: argparse.Namespace) -> None:
     if not ns.preset:
         return
     for name, value in PRESET_PINS[ns.preset].items():
         flag = getattr(ns, f"{name}_given", None)
         if flag:
-            parser.error(f"--preset {ns.preset} pins {flag}")
+            raise ValueError(f"--preset {ns.preset} pins {flag}")
         setattr(ns, name, (value,))
 
 
@@ -298,8 +286,8 @@ def _table_params(ns: argparse.Namespace) -> tuple[list[ClassParams], ValueError
     return params, None
 
 
-def cmd_table(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _apply_preset(ns, parser)
+def cmd_table(ns: argparse.Namespace) -> int:
+    _apply_preset(ns)
     params, error = _table_params(ns)
     ps = [eval_poly(ns.p, x) for x in ns.x]
     qs = [eval_poly(ns.q, x) for x in ns.x]
@@ -323,7 +311,7 @@ def cmd_table(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         except ValueError as exc:
             error = exc
     if error is not None:
-        parser.error(str(error))
+        raise error
 
     # CSV text: repr each distinct value once (an axis value, a2/a3 per
     # parameter point and x); JSON keeps the floats for its own encoder.
@@ -364,17 +352,14 @@ def _row_flags(table: BoundArrays) -> list[str]:
 
 def cmd_verify(ns: argparse.Namespace) -> int:
     if ns.draws < 1:
-        print("error: verify needs --draws >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("verify needs --draws >= 1")
     if ns.grid_n < 2:
-        print("error: verify needs --grid-n >= 2", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("verify needs --grid-n >= 2")
     rng = np.random.default_rng(ns.seed)
     try:
         inputs = random_inputs(rng, ns.draws, p_min=ns.p_min, theta_min=ns.theta_min)
     except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(str(exc)) from exc
     results = [verify_bounds(inp, ns.grid_n, ns.mode, ns.tol) for inp in inputs]
     all_pass = all(r.all_pass for r in results)
 
@@ -496,7 +481,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         sp.add_argument("--upsilon", type=_range_type, default=_range_type(upsilon_default))
         sp.add_argument("--p", type=_poly_type, default=(0.0, 1.0), help="p(x) coefficients")
         sp.add_argument("--q", type=_poly_type, default=(1.0,), help="q(x) coefficients")
-        sp.add_argument("--preset", choices=PRESET_NAMES, default=None)
+        sp.add_argument("--preset", choices=PRESET_PINS, default=None)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", default=None)
         subparsers[name] = sp
@@ -530,17 +515,6 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _prescan_config(argv: list[str]) -> str | None:
-    for i, arg in enumerate(argv):
-        if arg == "--config":
-            if i + 1 >= len(argv):
-                return None  # argparse will report the missing value
-            return argv[i + 1]
-        if arg.startswith("--config="):
-            return arg.split("=", 1)[1]
-    return None
-
-
 @functools.cache
 def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The parser of every run without ``--config``, built on first use."""
@@ -548,15 +522,11 @@ def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-
-    config_path = _prescan_config(argv)
-    if config_path is None:
-        parser, subparsers = _shared_parser()
-    else:
+    parser, subparsers = _shared_parser()
+    ns = parser.parse_args(argv)
+    if ns.config is not None:
         try:
-            config = _load_config(config_path)
+            config = _load_config(ns.config)
         except (OSError, ValueError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -566,16 +536,20 @@ def main(argv: list[str] | None = None) -> int:
         # argparse itself, so raw text is the right currency here.
         for sp in subparsers.values():
             sp.set_defaults(**config)
-
-    ns = parser.parse_args(argv)
+        ns = parser.parse_args(argv)
     # Looked up per call, not stored in the parser that outlives this call,
     # so a command function rebound on this module (a test double, a tracer)
     # is the one that runs.
-    if ns.command in ("bounds", "fekete"):
-        return cmd_table(ns, subparsers[ns.command])
     commands = {"lucas": cmd_lucas, "operator": cmd_operator, "member": cmd_member,
-                "verify": cmd_verify}
-    return commands[ns.command](ns)
+                "bounds": cmd_table, "fekete": cmd_table, "verify": cmd_verify}
+    try:
+        return commands[ns.command](ns)
+    except ValueError as exc:
+        # the table commands report with their usage text, as argparse does
+        if ns.command in ("bounds", "fekete"):
+            subparsers[ns.command].error(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

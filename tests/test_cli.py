@@ -444,6 +444,96 @@ class TestVerify:
         assert "mode=schwarz" in out
 
 
+def run_exit(capsys, argv):
+    """Like run(), but an argparse exit comes back as its code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestUsageErrors:
+    # The whole stderr of every exit-2 path.  ``None`` for the command means
+    # the command prints one ``error:`` line; otherwise the named parser
+    # reports it after its usage text ("" is the top-level parser).
+    @pytest.mark.parametrize(
+        "argv, command, message",
+        [
+            (["lucas", "--p", "1e200", "--k", "4"], None,
+             "L_2 must be finite: p(x) or q(x) is too large"),
+            (["lucas", "--x", "nan"], None, "p(x) and q(x) must evaluate to finite values"),
+            (["lucas", "--p", "1;2"], "lucas",
+             "argument --p: malformed polynomial '1;2': expected comma-separated numbers"),
+            (["lucas", "--k", "-1"], "lucas", "argument --k: value must be >= 0"),
+            (["lucas", "--bogus"], "", "unrecognized arguments: --bogus"),
+            (["operator", "--a2", "1e160", "--a3", "0"], None,
+             "operator coefficients must be finite: a2, a3, lambda, mu or delta is too large"),
+            (["operator", "--lambda", "0.5"], None, "lam must be >= 1"),
+            (["member", "--coeffs", "1e200,1e200", "--mu", "3"], None,
+             "member values must be finite: coefficients or parameters are too large"),
+            (["member", "--r-max", "1.5"], None, "r_max must lie in (0, 1)"),
+            (["member", "--radii", "0"], None, "grid resolutions must be >= 1"),
+            (["member", "--alpha", "1"], None, "alpha must lie in [0, 1)"),
+            (["bounds", "--preset", "caglar", "--delta", "1"], "bounds",
+             "--preset caglar pins --delta"),
+            (["fekete", "--preset", "mu1", "--mu", "2"], "fekete", "--preset mu1 pins --mu"),
+            (["bounds", "--preset", "nope"], "bounds",
+             "argument --preset: invalid choice: 'nope' "
+             "(choose from 'caglar', 'srivastava', 'bistarlike', 'mu1')"),
+            (["bounds", "--lambda", "1:0:3"], "bounds",
+             "argument --lambda: range stop must be >= start"),
+            (["bounds", "--x", "1:2:0"], "bounds", "argument --x: range steps must be >= 1"),
+            # np.linspace warned on these spans and filled the range with inf
+            # and nan, which then read "p must be finite" or "upsilon ..."
+            (["bounds", "--x=0:inf:3"], "bounds", "argument --x: range span must be finite"),
+            (["bounds", "--x=-1e308:1e308:3"], "bounds",
+             "argument --x: range span must be finite"),
+            (["fekete", "--upsilon=-1e308:1e308:5"], "fekete",
+             "argument --upsilon: range span must be finite"),
+            (["fekete", "--lambda", "1e160"], "fekete",
+             "theta must be finite: lambda, mu or delta is too large"),
+            (["verify", "--draws", "0"], None, "verify needs --draws >= 1"),
+            (["verify", "--grid-n", "1"], None, "verify needs --grid-n >= 2"),
+            (["verify", "--mode", "nope"], "verify",
+             "argument --mode: invalid choice: 'nope' (choose from 'paper', 'schwarz')"),
+            (["--config", "/no/such", "lucas"], None,
+             "cannot read config: [Errno 2] No such file or directory: '/no/such'"),
+            (["--config", "{bad}", "lucas"], None, "cannot read config: {bad}:1: expected key=value"),
+            (["--config", "{zero}", "verify"], None, "verify needs --draws >= 1"),
+            (["--config"], "", "argument --config: expected one argument"),
+            ([], "", "the following arguments are required: command"),
+        ],
+    )
+    def test_exact_stderr(self, capsys, tmp_path, argv, command, message):
+        files = {"bad": tmp_path / "bad.cfg", "zero": tmp_path / "zero.cfg"}
+        files["bad"].write_text("just a line without equals\n")
+        files["zero"].write_text("draws=0\n")
+        argv = [arg.format(**files) for arg in argv]
+        code, out, err = run_exit(capsys, argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        message = message.format(**files)
+        if command is None:
+            assert err == f"error: {message}\n"
+        else:
+            parser, subparsers = build_parser()
+            usage = (subparsers[command] if command else parser).format_usage()
+            prog = f"pqlucas {command}" if command else "pqlucas"
+            assert err == f"{usage}{prog}: error: {message}\n"
+
+    def test_unconverged_draws_are_usage_error(self, capsys, monkeypatch):
+        # verify --draws 2 --p-min 3 gets here, but only after a long rejection loop
+        def give_up(*args, **kwargs):
+            raise RuntimeError("rejection sampling did not converge")
+
+        monkeypatch.setattr(cli, "random_inputs", give_up)
+        code, out, err = run_exit(capsys, ["verify", "--draws", "2", "--p-min", "3"])
+        assert (code, out, err) == (
+            EXIT_USAGE, "", "error: rejection sampling did not converge\n"
+        )
+
+
 class TestConfigAndOutput:
     def test_config_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "defaults.cfg"
@@ -492,6 +582,23 @@ class TestConfigAndOutput:
         run(capsys, ["lucas", "--k", "1"])  # the shared parser exists now
         monkeypatch.setattr(cli, "cmd_lucas", lambda ns: 7)
         assert main(["lucas", "--k", "1"]) == 7
+
+    def test_abbreviated_config_flag(self, capsys, tmp_path):
+        # argparse accepts --conf for --config; the file was ignored before
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text("grid-n=3\ndraws=2\n")
+        code, out, _ = run(capsys, ["--conf", str(cfg), "verify"])
+        assert code == EXIT_OK
+        assert "grid_n=3 draws=2" in out
+
+    def test_last_config_flag_wins(self, capsys, tmp_path):
+        # as for any argparse option; the first file was loaded before
+        first, last = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        first.write_text("k=3\n")
+        last.write_text("k=1\nformat=json\n")
+        code, out, _ = run(capsys, ["--config", str(first), "--config", str(last), "lucas"])
+        assert code == EXIT_OK
+        assert len(json.loads(out)["rows"]) == 2
 
     def test_missing_config(self, capsys):
         code, _, err = run(capsys, ["--config", "/no/such/file.cfg", "lucas"])

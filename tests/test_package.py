@@ -1,11 +1,24 @@
-"""The package namespace and its documentation: every exported name resolves."""
+"""The package namespace and its documentation: exported names and README examples."""
 
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
 import pqlucas
+from pqlucas.cli import EXIT_OK, main
 
 README = Path(__file__).parent.parent / "README.md"
+SH_BLOCKS = re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+# "$ pqlucas ..." blocks are transcripts; "pqlucas ..." lines are examples
+TRANSCRIPTS = [block for block in SH_BLOCKS if block.startswith("$ pqlucas ")]
+EXAMPLES = [
+    line.partition("#")[0]
+    for block in SH_BLOCKS
+    for line in block.splitlines()
+    if line.startswith("pqlucas ")
+]
 
 
 def test_all_names_resolve():
@@ -19,3 +32,21 @@ def test_readme_python_examples_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+@pytest.mark.parametrize("block", TRANSCRIPTS, ids=lambda b: b.splitlines()[0])
+def test_readme_transcript(capsys, block):
+    command, _, expected = block.partition("\n")
+    code = main(shlex.split(command)[2:])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.replace("\r\n", "\n") == expected
+
+
+@pytest.mark.parametrize("line", EXAMPLES)
+def test_readme_example_exits_zero(line):
+    assert main(shlex.split(line)[1:]) == EXIT_OK
+
+
+def test_readme_examples_found():
+    assert len(TRANSCRIPTS) == 3
+    assert len(EXAMPLES) == 5
