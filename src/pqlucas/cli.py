@@ -11,8 +11,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 Ranges are written ``start:stop:steps`` (or a single number), polynomials
 as comma-separated ascending coefficients (``--p 0,1`` is ``p(x) = x``).
 ``--config FILE`` supplies ``key=value`` defaults for any long flag (dest
-names, ``-`` and ``_`` interchangeable); explicit flags win.  A relative
-``--out`` path resolves against ``$PQLUCAS_OUT_DIR`` when that is set.
+names, ``-`` and ``_`` interchangeable); explicit flags win, and a key no
+subcommand takes is a usage error.  A relative ``--out`` path resolves
+against ``$PQLUCAS_OUT_DIR`` when that is set.
 CSV uses RFC-4180-style CRLF rows; JSON tables are one object with a
 ``rows`` array.  Seeded commands are byte-reproducible.
 """
@@ -32,6 +33,7 @@ from itertools import chain, product
 import numpy as np
 
 from .bioperator import (
+    MEMBERSHIP_MODES,
     ClassParams,
     DiskGrid,
     check_membership_realpart,
@@ -99,10 +101,10 @@ def _range_type(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError("range steps must be >= 1")
     if stop < start:
         raise argparse.ArgumentTypeError("range stop must be >= start")
-    if steps == 1:
-        return (start,)
     if not cmath.isfinite(stop - start):
         raise argparse.ArgumentTypeError("range span must be finite")
+    if steps == 1:
+        return (start,)
     return tuple(float(v) for v in np.linspace(start, stop, steps))
 
 
@@ -113,34 +115,19 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def _resolve_out(path: str | None) -> str | None:
-    if path is None:
-        return None
-    base = os.environ.get(OUT_DIR_ENV)
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
-
-
-def _emit(text: str, out: str | None) -> int:
-    path = _resolve_out(out)
-    if path is None:
-        sys.stdout.write(text)
-        return EXIT_OK
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
-
-
-def _emit_verdict(text: str, out: str | None, passed: bool) -> int:
+def _emit(text: str, out: str | None, passed: bool = True) -> int:
     """Write the output, then exit 0 on a pass and 1 on a failed check."""
-    code = _emit(text, out)
-    if code != EXIT_OK:
-        return code
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        base = os.environ.get(OUT_DIR_ENV)
+        path = os.path.join(base, out) if base and not os.path.isabs(out) else out
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+            return EXIT_IO
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
@@ -174,20 +161,12 @@ def cmd_lucas(ns: argparse.Namespace) -> int:
         diff = abs(rec - ser)
         worst = max(worst, diff)
         rows.append([k, rec, ser.real, diff])
+    columns = ("k", "lucas_recurrence", "lucas_series", "abs_diff")
     if ns.format == "json":
-        payload = {
-            "rows": [
-                {"k": r[0], "lucas_recurrence": r[1], "lucas_series": r[2], "abs_diff": r[3]}
-                for r in rows
-            ]
-        }
-        text = _json_text(payload)
+        text = _json_text({"rows": [dict(zip(columns, row)) for row in rows]})
     else:
-        text = _csv_text(
-            ("k", "lucas_recurrence", "lucas_series", "abs_diff"),
-            ([str(v) for v in row] for row in rows),
-        )
-    return _emit_verdict(text, ns.out, worst <= ns.tol)
+        text = _csv_text(columns, ([str(v) for v in row] for row in rows))
+    return _emit(text, ns.out, worst <= ns.tol)
 
 
 # -------------------------------------------------------------- operator
@@ -230,7 +209,7 @@ def cmd_operator(ns: argparse.Namespace) -> int:
             rows.append(_identity_payload(params, f, ns.tol))
         all_pass = all(r["pass"] for r in rows)
         payload = {"seed": ns.seed, "rows": rows, "all_pass": all_pass}
-    return _emit_verdict(_json_text(payload), ns.out, all_pass)
+    return _emit(_json_text(payload), ns.out, all_pass)
 
 
 # ---------------------------------------------------------------- member
@@ -252,7 +231,7 @@ def cmd_member(ns: argparse.Namespace) -> int:
         "n_points": report.n_evaluated,
         "flagged_points": [[w.real, w.imag] for w in report.flagged],
     }
-    return _emit_verdict(_json_text(payload), ns.out, report.passed)
+    return _emit(_json_text(payload), ns.out, report.passed)
 
 
 # --------------------------------------------------------- bounds/fekete
@@ -417,7 +396,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
             )
         lines.append(f"RESULT: {'PASS' if all_pass else 'FAIL'}")
         text = "\n".join(lines) + "\n"
-    return _emit_verdict(text, ns.out, all_pass)
+    return _emit(text, ns.out, all_pass)
 
 
 # ----------------------------------------------------------------- parser
@@ -461,7 +440,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_param_flags(sp)
     sp.add_argument("--alpha", type=float, default=0.0)
     sp.add_argument("--coeffs", type=_poly_type, default=None, help="a2,a3,...")
-    sp.add_argument("--mode", choices=("operator", "starlike", "convex"), default="operator")
+    sp.add_argument("--mode", choices=MEMBERSHIP_MODES, default="operator")
     sp.add_argument("--r-max", dest="r_max", type=float, default=0.95)
     sp.add_argument("--radii", type=_nonneg_int, default=64)
     sp.add_argument("--angles", type=_nonneg_int, default=256)
@@ -501,7 +480,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, subparsers
 
 
-def _load_config(path: str) -> dict[str, str]:
+def _load_config(path: str, keys: set[str]) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -511,7 +490,10 @@ def _load_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key not in keys:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            values[key] = value.strip()
     return values
 
 
@@ -526,7 +508,9 @@ def main(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     if ns.config is not None:
         try:
-            config = _load_config(ns.config)
+            # a key some subcommand takes is a valid default for all of them
+            keys = {a.dest for sp in subparsers.values() for a in sp._actions}
+            config = _load_config(ns.config, keys)
         except (OSError, ValueError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return EXIT_USAGE

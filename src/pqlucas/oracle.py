@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +44,6 @@ from .bioperator import ClassParams
 
 MODES = ("paper", "schwarz")
 
-_BOX_TOL = 1e-12
-
 # Grid points per sweep block (whole r1 rows, at least one).  Up to grid_n
 # 126 each float64 temporary of a block stays below 128 KiB, glibc's default
 # mmap threshold, so blocks reuse heap memory instead of mapping and
@@ -52,27 +51,13 @@ _BOX_TOL = 1e-12
 _BLOCK_POINTS = 16_000
 
 
-@dataclass(frozen=True)
-class SchwarzSample:
+class SchwarzSample(NamedTuple):
     """One point of the constraint box, with ``s1 = -r1`` built in."""
 
     r1: float
     r2: float
     s1: float
     s2: float
-
-    def __post_init__(self) -> None:
-        for name in ("r1", "r2", "s1", "s2"):
-            value = float(getattr(self, name))
-            object.__setattr__(self, name, value)
-            if abs(value) > 1.0 + _BOX_TOL:
-                raise ValueError(f"{name} outside the unit box")
-        if abs(self.s1 + self.r1) > _BOX_TOL:
-            raise ValueError("s1 must equal -r1")
-
-    @classmethod
-    def free(cls, r1: float, r2: float, s2: float) -> "SchwarzSample":
-        return cls(r1, r2, -r1, s2)
 
 
 def _a2_sq(inputs: BoundInputs, r2, s2):
@@ -148,7 +133,7 @@ class SupremumReport:
             "mode": self.mode,
             "grid_n": self.grid_n,
             "supremum": self.supremum,
-            "argmax": [self.argmax.r1, self.argmax.r2, self.argmax.s1, self.argmax.s2],
+            "argmax": list(self.argmax),
             "bound": self.bound,
             "ratio": self.ratio,
         }
@@ -210,12 +195,13 @@ def sweep_max(
             k, i, j = np.unravel_index(flat, values.shape)
             best_value = value
             best_key = (float(r1_vals[lo + k]), float(block[k, i]), float(block[k, j]))
+    r1, r2, s2 = best_key
     return SupremumReport(
         functional=functional,
         mode=mode,
         grid_n=grid_n,
         supremum=best_value,
-        argmax=SchwarzSample.free(*best_key),
+        argmax=SchwarzSample(r1, r2, -r1, s2),
         bound=closed_form_bound(inputs, functional),
     )
 
@@ -226,7 +212,6 @@ class VerificationReport:
 
     inputs: BoundInputs
     reports: tuple[SupremumReport, ...]
-    tolerance: float
     passes: tuple[bool, ...]
 
     @property
@@ -243,7 +228,7 @@ def verify_bounds(
     """Check ``supremum <= bound + tolerance`` for every functional."""
     reports = tuple(sweep_max(inputs, f, grid_n, mode) for f in FUNCTIONALS)
     passes = tuple(r.supremum <= r.bound + tolerance for r in reports)
-    return VerificationReport(inputs, reports, tolerance, passes)
+    return VerificationReport(inputs, reports, passes)
 
 
 def draw_params(rng: np.random.Generator) -> ClassParams:

@@ -62,33 +62,13 @@ def series(coeffs: Sequence[complex], order: int | None = None) -> TruncatedSeri
     return TruncatedSeries(tuple(cs))
 
 
-def constant(value: complex, order: int = 0) -> TruncatedSeries:
-    return series([value], order=order)
-
-
-def identity(order: int) -> TruncatedSeries:
-    """The series of ``z`` itself."""
-    if order < 1:
-        raise ValueError("identity series needs order >= 1")
-    return series([0.0, 1.0], order=order)
-
-
 def add(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
     n = min(s.order, t.order)
     return TruncatedSeries(tuple(s.coeffs[k] + t.coeffs[k] for k in range(n + 1)))
 
 
-def sub(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
-    n = min(s.order, t.order)
-    return TruncatedSeries(tuple(s.coeffs[k] - t.coeffs[k] for k in range(n + 1)))
-
-
 def scale(s: TruncatedSeries, factor: complex) -> TruncatedSeries:
     return TruncatedSeries(tuple(factor * c for c in s.coeffs))
-
-
-def add_scalar(s: TruncatedSeries, value: complex) -> TruncatedSeries:
-    return TruncatedSeries((s.coeffs[0] + value,) + s.coeffs[1:])
 
 
 def mul(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
@@ -174,9 +154,10 @@ def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
     n = min(outer.order, inner.order)
     # Zero the (tolerated) tiny constant term so Horner sees an exact zero.
     inner_n = TruncatedSeries((0.0,) + inner.coeffs[1 : n + 1]) if n else None
-    acc = constant(outer.coeffs[n], order=n)
+    acc = series([outer.coeffs[n]], order=n)
     for k in range(n - 1, -1, -1):
-        acc = add_scalar(mul(acc, inner_n), outer.coeffs[k])
+        c = mul(acc, inner_n).coeffs
+        acc = TruncatedSeries((c[0] + outer.coeffs[k],) + c[1:])
     return acc
 
 

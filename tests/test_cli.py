@@ -504,12 +504,18 @@ class TestUsageErrors:
             (["--config", "{zero}", "verify"], None, "verify needs --draws >= 1"),
             (["--config"], "", "argument --config: expected one argument"),
             ([], "", "the following arguments are required: command"),
+            # a one-step range still names its stop, which must be finite too
+            (["bounds", "--x=0:inf:1"], "bounds", "argument --x: range span must be finite"),
+            (["bounds", "--x=0:nan:1"], "bounds", "argument --x: range span must be finite"),
+            (["--config", "{typo}", "verify"], None,
+             "cannot read config: {typo}:2: unknown key 'drwas'"),
         ],
     )
     def test_exact_stderr(self, capsys, tmp_path, argv, command, message):
-        files = {"bad": tmp_path / "bad.cfg", "zero": tmp_path / "zero.cfg"}
+        files = {name: tmp_path / f"{name}.cfg" for name in ("bad", "zero", "typo")}
         files["bad"].write_text("just a line without equals\n")
         files["zero"].write_text("draws=0\n")
+        files["typo"].write_text("grid-n=3\ndrwas=2\n")
         argv = [arg.format(**files) for arg in argv]
         code, out, err = run_exit(capsys, argv)
         assert (code, out) == (EXIT_USAGE, "")
@@ -537,7 +543,8 @@ class TestUsageErrors:
 class TestConfigAndOutput:
     def test_config_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "defaults.cfg"
-        cfg.write_text("# lucas settings\nk=3\nformat=json\n")
+        # grid-n is a verify flag: a key any subcommand takes is valid for all
+        cfg.write_text("# lucas settings\nk=3\nformat=json\ngrid-n=9\n")
         code, out, _ = run(capsys, ["--config", str(cfg), "lucas"])
         assert code == EXIT_OK
         assert len(json.loads(out)["rows"]) == 4

@@ -39,12 +39,13 @@ def reference_sweep(inputs, functional, grid_n, mode):
             i, j = divmod(flat, grid_n)
             best_value = value
             best_key = (float(r1), float(r2_vals[i]), float(s2_vals[j]))
+    r1, r2, s2 = best_key
     return SupremumReport(
         functional=functional,
         mode=mode,
         grid_n=grid_n,
         supremum=best_value,
-        argmax=SchwarzSample.free(*best_key),
+        argmax=SchwarzSample(r1, r2, -r1, s2),
         bound=closed_form_bound(inputs, functional),
     )
 
@@ -65,29 +66,14 @@ def corner_max(inputs, functional, mode):
 CORNER_DRAWS = random_inputs(np.random.default_rng(2024), 200)
 
 
-class TestSchwarzSample:
-    def test_free_builds_mirror(self):
-        s = SchwarzSample.free(0.3, -0.2, 0.9)
-        assert s.s1 == -0.3
-        assert (s.r1, s.r2, s.s2) == (0.3, -0.2, 0.9)
-
-    def test_box_violation(self):
-        with pytest.raises(ValueError, match="outside the unit box"):
-            SchwarzSample.free(1.5, 0.0, 0.0)
-
-    def test_mirror_violation(self):
-        with pytest.raises(ValueError, match="s1 must equal -r1"):
-            SchwarzSample(0.5, 0.0, 0.5, 0.0)
-
-
 class TestSweepMax:
     def test_abs_a3_hits_bound_at_corner(self):
         report = sweep_max(BISTAR_11, "abs_a3", grid_n=21)
         assert report.supremum == pytest.approx(1.5, abs=1e-12)
         assert report.bound == pytest.approx(1.5, abs=1e-12)
         assert report.ratio == pytest.approx(1.0, abs=1e-12)
-        arg = report.argmax
-        assert (arg.r1, arg.r2, arg.s1, arg.s2) == (-1.0, 1.0, 1.0, -1.0)
+        # fields in (r1, r2, s1, s2) order, with the mirror s1 = -r1 built in
+        assert report.argmax == SchwarzSample(r1=-1.0, r2=1.0, s1=1.0, s2=-1.0)
 
     def test_abs_a2_ratio_is_inverse_sqrt2(self):
         report = sweep_max(BISTAR_11, "abs_a2", grid_n=21)
@@ -119,7 +105,7 @@ class TestSweepMax:
         # caps force r2 = s2 = 0 at |r1| = 1, leaving the pure r1^2 term
         report = sweep_max(BISTAR_11, "abs_a3", grid_n=21, mode="schwarz")
         assert report.supremum == pytest.approx(1.0, abs=1e-12)
-        assert report.argmax.r1 == -1.0
+        assert (report.argmax.r1, report.argmax.s1) == (-1.0, 1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown functional"):
@@ -202,7 +188,7 @@ class TestRatioEdges:
             mode="paper",
             grid_n=2,
             supremum=supremum,
-            argmax=SchwarzSample.free(0.0, 0.0, 0.0),
+            argmax=SchwarzSample(0.0, 0.0, -0.0, 0.0),
             bound=bound,
         )
 
