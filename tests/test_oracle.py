@@ -66,6 +66,16 @@ def corner_max(inputs, functional, mode):
 CORNER_DRAWS = random_inputs(np.random.default_rng(2024), 200)
 
 
+class TestSchwarzSample:
+    def test_free_builds_mirror(self):
+        # sweep_max builds every argmax with s1 = -r1, in (r1, r2, s1, s2) order
+        for functional in FUNCTIONALS:
+            for mode in MODES:
+                arg = sweep_max(CORNER_DRAWS[0], functional, grid_n=9, mode=mode).argmax
+                assert arg.s1 == -arg.r1
+                assert tuple(arg) == (arg.r1, arg.r2, arg.s1, arg.s2)
+
+
 class TestSweepMax:
     def test_abs_a3_hits_bound_at_corner(self):
         report = sweep_max(BISTAR_11, "abs_a3", grid_n=21)
