@@ -89,14 +89,6 @@ def _theta_terms(lam, mu, delta, c1, p, q):
     return mass * p * p, 2.0 * c1_squared * (p * p + 2.0 * q)
 
 
-def _is_zero(t1, t2):
-    return np.abs(t1 - t2) <= THETA_TOL * np.maximum(1.0, np.abs(t1) + np.abs(t2))
-
-
-def _phi(p, upsilon, th):
-    return p * p * (1.0 - upsilon) / th
-
-
 _FLAG_P_ZERO = "p(x) = 0: the first-order coefficient identity forces a2 = 0"
 _FLAG_THETA_ZERO = "theta = 0: coefficient-functional denominator vanishes"
 
@@ -133,13 +125,13 @@ class BoundArrays:
 
     ``theta``, ``theta_zero``, ``a2``, ``a3`` and their flags have the
     broadcast shape of ``(lam, mu, delta, p, q)``; the Fekete-Szego arrays
-    that of all six inputs.  ``theta_zero`` is the vanishing test for
-    ``theta``, scaled by the size of its two terms.
-    ``regime`` (of the Fekete-Szego bound) indexes :data:`REGIMES` and the
-    ``*_flags`` codes index :data:`FLAG_SETS`.  The ``|a2|`` and ``|a3|``
-    regimes are ``"degenerate"`` exactly where their flags are not empty.
-    Points with a non-finite input or ``theta`` hold meaningless values;
-    :class:`BoundInputs` is where such points are rejected.
+    that of all six inputs.  ``theta_zero`` is relative to the two terms of
+    ``theta = t1 - t2``: ``|theta| <= THETA_TOL * max(1, |t1| + |t2|)``.
+    ``regime`` (of ``fs``) indexes :data:`REGIMES`; its ``boundary`` band is
+    absolute, ``||phi| - 1/(2 c2)| <= BOUNDARY_TOL``; the ``*_flags`` codes
+    index :data:`FLAG_SETS`.  The ``|a2|`` and ``|a3|`` regimes are ``"degenerate"``
+    exactly where their flags are not empty.  Points with a non-finite input
+    or ``theta`` hold meaningless values; :class:`BoundInputs` rejects them.
     """
 
     theta: np.ndarray
@@ -169,7 +161,7 @@ def bound_arrays(lam, mu, delta, p, q, upsilon) -> BoundArrays:
         _, c1, c2 = multipliers(lam, mu, delta)
         t1, t2 = _theta_terms(lam, mu, delta, c1, p, q)
         th = t1 - t2
-        theta_zero = _is_zero(t1, t2)
+        theta_zero = np.abs(th) <= THETA_TOL * np.maximum(1.0, np.abs(t1) + np.abs(t2))
         p_zero = p == 0.0
         abs_p = np.abs(p)
 
@@ -188,7 +180,7 @@ def bound_arrays(lam, mu, delta, p, q, upsilon) -> BoundArrays:
             np.broadcast_to(a, th.shape) for a in (a3, np.where(p_zero, _P_ZERO, _NO_FLAGS))
         )
 
-        ratio = np.abs(_phi(p, upsilon, th))
+        ratio = np.abs(p * p * (1.0 - upsilon) / th)
         half = 1.0 / (2.0 * c2)
         regime = np.where(
             np.abs(ratio - half) <= BOUNDARY_TOL,
@@ -302,9 +294,10 @@ def fekete_szego_bound(inputs: BoundInputs) -> BoundReport:
 
     Piecewise view: ``|phi| < 1/(2 c2)`` is ``case1`` with the constant
     value ``|p|/c2``; ``|phi| > 1/(2 c2)`` is ``case2`` with ``2 |p| |phi|``;
-    equality (within ``BOUNDARY_TOL``) is tagged ``boundary``.  Degenerate
-    inputs are reported, not raised: ``theta = 0`` is UNBOUNDED unless
-    ``upsilon = 1``, where ``phi -> 0`` and the case1 value survives.
+    equality, within ``BOUNDARY_TOL`` absolute on ``|phi|``, is ``boundary``.
+    Degenerate inputs are reported, not raised: ``theta = 0`` (relative
+    ``THETA_TOL``) is UNBOUNDED unless ``upsilon = 1``, where ``phi -> 0``
+    and the case1 value survives.
     """
     arrays = inputs._arrays
     return _report(arrays.fs, arrays.fs_flags, REGIMES[int(arrays.regime)])

@@ -49,7 +49,7 @@ from .bounds import (
 )
 from .lucas import PolyPair, generating_series, lucas_sequence
 from .oracle import FUNCTIONALS, MODES, draw_params, random_inputs, verify_bounds
-from .series import FunctionSpec, eval_poly, to_json_coeffs, to_json_number
+from .series import FunctionSpec, eval_poly, to_json_number
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -112,6 +112,13 @@ def _nonneg_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("value must be >= 0")
+    return value
+
+
+def _not_nan(text: str) -> float:
+    value = float(text)
+    if cmath.isnan(value):
+        raise argparse.ArgumentTypeError("value must not be nan")
     return value
 
 
@@ -183,7 +190,7 @@ def _identity_payload(params: ClassParams, f: FunctionSpec, tol: float) -> dict:
         "delta": params.delta,
         "a2": f.coefficient(2),
         "a3": f.coefficient(3),
-        "series": to_json_coeffs(report.direct),
+        "series": [to_json_number(c) for c in report.direct.coeffs],
         "coeff_z": to_json_number(report.pipeline[0]),
         "coeff_z2": to_json_number(report.pipeline[1]),
         "coeff_w": to_json_number(report.pipeline[2]),
@@ -279,16 +286,12 @@ def cmd_table(ns: argparse.Namespace) -> int:
           for name in ("lam", "mu", "delta")),
         p, q, upsilon,
     )
-    # Where BoundInputs would reject a row, build it there for its message.
-    # Those rows precede the first invalid parameter point.
+    # Where BoundInputs would reject a row, build it there: it raises with
+    # its message.  Those rows precede the first invalid parameter point.
     valid = np.isfinite(p) & np.isfinite(q) & np.isfinite(upsilon) & np.isfinite(table.theta)
-    shape = (len(params), len(ps), len(upsilon))
     if not valid.all():
-        i, j, k = np.unravel_index(np.argmin(np.broadcast_to(valid, shape)), shape)
-        try:
-            BoundInputs(params[i], ps[j], qs[j], ns.upsilon[k])
-        except ValueError as exc:
-            error = exc
+        i, j, k = np.unravel_index(np.argmin(valid), valid.shape)
+        BoundInputs(params[i], ps[j], qs[j], ns.upsilon[k])
     if error is not None:
         raise error
 
@@ -342,12 +345,15 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     results = [verify_bounds(inp, ns.grid_n, ns.mode, ns.tol) for inp in inputs]
     all_pass = all(r.all_pass for r in results)
 
-    ratios = {name: [] for name in FUNCTIONALS}
-    passes = {name: 0 for name in FUNCTIONALS}
-    for result in results:
-        for report, ok in zip(result.reports, result.passes):
-            ratios[report.functional].append(report.ratio)
-            passes[report.functional] += int(ok)
+    summary = {}
+    for i, name in enumerate(FUNCTIONALS):  # the order of each result's reports
+        ratios = [res.reports[i].ratio for res in results]
+        summary[name] = {
+            "min_ratio": min(ratios),
+            "median_ratio": statistics.median(ratios),
+            "max_ratio": max(ratios),
+            "passed": sum(res.passes[i] for res in results),
+        }
 
     if ns.format == "json":
         payload = {
@@ -372,15 +378,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
                 }
                 for res in results
             ],
-            "summary": {
-                name: {
-                    "min_ratio": min(vals),
-                    "median_ratio": statistics.median(vals),
-                    "max_ratio": max(vals),
-                    "passed": passes[name],
-                }
-                for name, vals in ratios.items()
-            },
+            "summary": summary,
             "all_pass": all_pass,
         }
         text = _json_text(payload)
@@ -389,10 +387,10 @@ def cmd_verify(ns: argparse.Namespace) -> int:
             f"verify: mode={ns.mode} grid_n={ns.grid_n} draws={ns.draws} seed={ns.seed}",
             f"{'functional':<10} {'min_ratio':>12} {'median_ratio':>14} {'max_ratio':>12} {'pass':>8}",
         ]
-        for name, vals in ratios.items():
+        for name, row in summary.items():
             lines.append(
-                f"{name:<10} {min(vals):>12.6f} {statistics.median(vals):>14.6f} "
-                f"{max(vals):>12.6f} {passes[name]:>4}/{ns.draws}"
+                f"{name:<10} {row['min_ratio']:>12.6f} {row['median_ratio']:>14.6f} "
+                f"{row['max_ratio']:>12.6f} {row['passed']:>4}/{ns.draws}"
             )
         lines.append(f"RESULT: {'PASS' if all_pass else 'FAIL'}")
         text = "\n".join(lines) + "\n"
@@ -414,27 +412,24 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     parser.add_argument("--config", help="key=value defaults file", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers: dict[str, argparse.ArgumentParser] = {}
 
     sp = sub.add_parser("lucas", help="Lucas sequence: recurrence vs generating series")
     sp.add_argument("--p", type=_poly_type, default=(0.0, 1.0), help="p(x) coefficients")
     sp.add_argument("--q", type=_poly_type, default=(1.0,), help="q(x) coefficients")
     sp.add_argument("--x", type=float, default=1.0)
     sp.add_argument("--k", type=_nonneg_int, default=10, help="largest index")
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=_not_nan, default=1e-9)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None)
-    subparsers["lucas"] = sp
 
     sp = sub.add_parser("operator", help="operator coefficient identities")
     _add_param_flags(sp)
     sp.add_argument("--a2", type=float, default=0.5)
     sp.add_argument("--a3", type=float, default=0.25)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=_not_nan, default=1e-9)
     sp.add_argument("--seed", type=int, default=None, help="random residual table")
     sp.add_argument("--draws", type=_nonneg_int, default=10)
     sp.add_argument("--out", default=None)
-    subparsers["operator"] = sp
 
     sp = sub.add_parser("member", help="sampled real-part membership check")
     _add_param_flags(sp)
@@ -445,7 +440,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--radii", type=_nonneg_int, default=64)
     sp.add_argument("--angles", type=_nonneg_int, default=256)
     sp.add_argument("--out", default=None)
-    subparsers["member"] = sp
 
     for name, upsilon_default, help_text in (
         ("bounds", "1", "closed-form bound sweep"),
@@ -463,21 +457,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         sp.add_argument("--preset", choices=PRESET_PINS, default=None)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", default=None)
-        subparsers[name] = sp
 
     sp = sub.add_parser("verify", help="brute-force bound verification")
     sp.add_argument("--draws", type=_nonneg_int, default=50)
     sp.add_argument("--grid-n", dest="grid_n", type=int, default=21)
     sp.add_argument("--mode", choices=MODES, default="paper")
     sp.add_argument("--seed", type=int, default=1729)
-    sp.add_argument("--tol", type=float, default=1e-9)
-    sp.add_argument("--p-min", dest="p_min", type=float, default=0.1)
-    sp.add_argument("--theta-min", dest="theta_min", type=float, default=2.0)
+    sp.add_argument("--tol", type=_not_nan, default=1e-9)
+    sp.add_argument("--p-min", dest="p_min", type=_not_nan, default=0.1)
+    sp.add_argument("--theta-min", dest="theta_min", type=_not_nan, default=2.0)
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.add_argument("--out", default=None)
-    subparsers["verify"] = sp
 
-    return parser, subparsers
+    return parser, sub.choices  # argparse's own name -> subparser map
 
 
 def _load_config(path: str, keys: set[str]) -> dict[str, str]:

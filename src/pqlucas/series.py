@@ -261,8 +261,3 @@ def to_json_number(c: complex) -> float | list[float]:
     if c.imag == 0.0:
         return c.real
     return [c.real, c.imag]
-
-
-def to_json_coeffs(s: TruncatedSeries) -> list:
-    """JSON-friendly coefficient list: floats, or ``[re, im]`` pairs."""
-    return [to_json_number(c) for c in s.coeffs]

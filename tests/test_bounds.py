@@ -1,16 +1,19 @@
 """Closed-form bounds: golden values, regime tags, degeneracy flags, presets."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pqlucas.bioperator import ClassParams
 from pqlucas.lucas import PolyPair, lucas_sequence
 from pqlucas.bounds import (
+    BOUNDARY_TOL,
     FLAG_SETS,
     REGIMES,
+    THETA_TOL,
     BoundInputs,
     bound_a2,
     bound_a3,
@@ -383,6 +386,140 @@ class TestArrayCore:
         # c1 ~ 1e160 squares past the float range; before, c1**2 raised
         with pytest.raises(ValueError, match="lambda, mu or delta is too large"):
             BoundInputs(ClassParams(1e160, 0.0, 0.0), 1.0, 1.0)
+
+
+# bound_arrays' decisions against exact rational arithmetic on the same
+# float inputs.  A decision whose exact margin to its threshold lies inside
+# the band where float rounding may decide it is not compared.
+
+_U = 2.0**-53  # unit roundoff of float64
+_TINY = 2.0**-1070  # above the absolute rounding of a subnormal product
+_NEAR = (0.0, 0.5, -0.5, 0.99, -0.99, 1.01, -1.01, 2.0, -2.0)
+
+
+def _exact_decisions(lam, mu, delta, p, q, upsilon):
+    """Decisions of :func:`bound_arrays` in ``Fraction`` arithmetic.
+
+    Returns ``((theta_zero, regime, a2 flags, a3 flags, fs flags),
+    theta_decided, all_decided)``.  Each term of the float ``theta = t1 - t2``
+    takes about a dozen roundings, so the float ``theta`` lies within
+    ``err = 32 u (|t1| + 2 c1^2 (p^2 + 2|q|))`` of the exact one, twice the
+    first-order bound (``u`` the unit roundoff); ``|phi|`` inherits
+    ``err / |theta|`` plus a few ``u`` relative.  Rounding may decide a test
+    only where its exact margin is within twice such a bound: for
+    ``theta_zero`` that band is a few percent of ``THETA_TOL * max(1, |t1| +
+    |t2|)`` at most, for the regime an absolute ``~ |phi| err / |theta|``.
+    """
+    lam, mu, delta, p, q, u = map(Fraction, (lam, mu, delta, p, q, upsilon))
+    xi = (2 * lam + mu) / (2 * lam + 1)
+    c1 = mu + lam + 2 * xi * delta
+    c2 = mu + 2 * lam + 2 * xi * delta
+    mass = (mu + 2 * lam) * (1 + mu + 12 * delta / (2 * lam + 1))
+    t1, t2 = mass * p * p, 2 * c1 * c1 * (p * p + 2 * q)
+    theta = t1 - t2
+    err = 32 * _U * (abs(t1) + 2 * c1 * c1 * (p * p + 2 * abs(q))) + _TINY
+    threshold = Fraction(THETA_TOL) * max(1, abs(t1) + abs(t2))
+    theta_zero = abs(theta) <= threshold
+    theta_decided = abs(abs(theta) - threshold) > 2 * (err + 4 * _U * threshold)
+    p_zero = p == 0
+    head = (theta_zero, "degenerate", (_P_ZERO,) * p_zero + (_THETA_ZERO,) * theta_zero,
+            (_P_ZERO,) * p_zero)
+    if theta_zero:
+        return (*head, FLAG_SETS[4 if u == 1 else 5]), theta_decided, theta_decided
+    if p_zero:
+        return (*head, (_P_ZERO,)), theta_decided, theta_decided
+    num = p * p * (1 - u)
+    phi, half = abs(num / theta), 1 / (2 * c2)
+    err_phi = phi * (8 * _U + err / abs(theta)) + _TINY / abs(theta) + 8 * _U * half
+    gap = abs(phi - half)
+    regime = "boundary" if gap <= Fraction(BOUNDARY_TOL) else "case1" if phi < half else "case2"
+    decided = theta_decided and abs(gap - Fraction(BOUNDARY_TOL)) > 2 * (err_phi + _U * gap)
+    flags = ()
+    if regime != "boundary":
+        lhs = abs(1 - u) * 2 * c2 * abs(p)
+        decided = decided and abs(lhs - abs(theta)) > 2 * (16 * _U * lhs + err)
+        if (lhs >= abs(theta)) != (regime == "case2"):
+            variant = "case2" if lhs >= abs(theta) else "case1"
+            flags = (f"threshold variant without 1/|p| scaling selects {variant}",)
+    return (theta_zero, regime, *head[2:], flags), theta_decided, decided
+
+
+def _assert_matches_exact(lam, mu, delta, p, q, upsilon):
+    """Compare the decided tests; return ``(theta_decided, all_decided)``."""
+    want, theta_decided, decided = _exact_decisions(lam, mu, delta, p, q, upsilon)
+    table = bound_arrays(lam, mu, delta, p, q, upsilon)
+    got = (bool(table.theta_zero), REGIMES[int(table.regime)],
+           *(FLAG_SETS[int(c)] for c in (table.a2_flags, table.a3_flags, table.fs_flags)))
+    if decided:
+        assert got == want
+    elif theta_decided:
+        assert got[0] == want[0]
+    return theta_decided, decided
+
+
+def _theta_level_q(lam, mu, delta, p, level):
+    """The q at which ``theta = level * max(1, |t1| + |t2|)``, up to rounding.
+
+    ``theta`` is affine in ``q`` and ``t1`` does not depend on it; near
+    ``theta = 0`` the two terms are equal, so ``|t1| + |t2| = 2 t1``.
+    """
+    c1, _ = _ref_multipliers(ClassParams(lam, mu, delta))
+    mass = (mu + 2.0 * lam) * (1.0 + mu + 12.0 * delta / (2.0 * lam + 1.0))
+    t1 = mass * p * p
+    return ((t1 - level * max(1.0, 2.0 * t1)) / (2.0 * c1 * c1) - p * p) / 2.0
+
+
+def _boundary_upsilon(lam, mu, delta, p, q, offset, side):
+    """The upsilon at which ``|phi| = 1/(2 c2) + offset``, up to rounding."""
+    params = ClassParams(lam, mu, delta)
+    theta = BoundInputs(params, p, q).theta
+    return 1.0 + side * (1.0 / (2.0 * params.c2) + offset) * abs(theta) / (p * p)
+
+
+class TestExactDecisions:
+    """theta_zero, regime and flag codes against a Fraction evaluation."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        lam=st.one_of(st.just(1.0), _finite(1.0, 4.0)),
+        mu=st.one_of(st.just(0.0), _finite(0.0, 4.0)),
+        delta=st.one_of(st.just(0.0), _finite(0.0, 3.0)),
+        p=st.one_of(st.sampled_from([1e-8, -1e-8, 1e-160, -1e-160]), _finite(-3.0, 3.0)),
+        k=st.sampled_from(_NEAR),
+        upsilon=st.one_of(st.sampled_from([1.0, 0.0, 3.0]), _finite(-2.0, 4.0)),
+    )
+    @example(lam=1.0, mu=0.0, delta=0.0, p=1e-160, k=2.0, upsilon=1.0)
+    @example(lam=4.0, mu=0.0, delta=3.0, p=3.0, k=-1.01, upsilon=3.0)
+    def test_near_theta_zero(self, lam, mu, delta, p, k, upsilon):
+        q = _theta_level_q(lam, mu, delta, p, k * THETA_TOL)
+        theta_decided, _ = _assert_matches_exact(lam, mu, delta, p, q, upsilon)
+        # only the points within 1% of the threshold may fall in its band
+        assert theta_decided or abs(k) in (0.99, 1.01)
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        lam=st.one_of(st.just(1.0), _finite(1.0, 4.0)),
+        mu=st.one_of(st.just(0.0), _finite(0.0, 4.0)),
+        delta=st.one_of(st.just(0.0), _finite(0.0, 3.0)),
+        p=st.one_of(st.sampled_from([1e-8, -1e-8]), _finite(1e-3, 3.0), _finite(-3.0, -1e-3)),
+        q=_finite(-3.0, 3.0),
+        k=st.sampled_from(_NEAR),
+        side=st.sampled_from([1.0, -1.0]),
+    )
+    def test_near_fekete_boundary(self, lam, mu, delta, p, q, k, side):
+        upsilon = _boundary_upsilon(lam, mu, delta, p, q, k * BOUNDARY_TOL, side)
+        assume(math.isfinite(upsilon))
+        _assert_matches_exact(lam, mu, delta, p, q, upsilon)
+
+    def test_bands_leave_clear_points_decided(self):
+        # the comparisons above are not vacuous: away from 1% of either
+        # threshold, well-conditioned points are decided and agree
+        for k in (0.0, 0.5, -0.5, 2.0, -2.0):
+            for p in (1e-160, 1e-8, 1.0, 3.0):
+                q = _theta_level_q(2.0, 1.0, 0.5, p, k * THETA_TOL)
+                assert _assert_matches_exact(2.0, 1.0, 0.5, p, q, 3.0) == (True, True)
+            upsilon = _boundary_upsilon(1.0, 0.0, 0.0, 1.0, 1.0, k * BOUNDARY_TOL, -1.0)
+            assert _assert_matches_exact(1.0, 0.0, 0.0, 1.0, 1.0, upsilon) == (True, True)
 
 
 class TestPresets:

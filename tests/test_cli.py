@@ -509,6 +509,11 @@ class TestUsageErrors:
             (["bounds", "--x=0:nan:1"], "bounds", "argument --x: range span must be finite"),
             (["--config", "{typo}", "verify"], None,
              "cannot read config: {typo}:2: unknown key 'drwas'"),
+            # a nan tolerance would fail every check, a nan threshold reject no draw
+            (["verify", "--tol", "nan"], "verify", "argument --tol: value must not be nan"),
+            (["operator", "--tol", "nan"], "operator", "argument --tol: value must not be nan"),
+            (["verify", "--theta-min", "nan"], "verify",
+             "argument --theta-min: value must not be nan"),
         ],
     )
     def test_exact_stderr(self, capsys, tmp_path, argv, command, message):
