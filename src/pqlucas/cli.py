@@ -122,6 +122,10 @@ def _not_nan(text: str) -> float:
     return value
 
 
+# argparse names the type function in "invalid <name> value: 'abc'"
+_nonneg_int.__name__, _not_nan.__name__ = "int", "float"
+
+
 def _emit(text: str, out: str | None, passed: bool = True) -> int:
     """Write the output, then exit 0 on a pass and 1 on a failed check."""
     if out is None:
@@ -261,39 +265,25 @@ class _TrackedRange(argparse.Action):
         setattr(namespace, f"{self.dest}_given", option_string)
 
 
-def _table_params(ns: argparse.Namespace) -> tuple[list[ClassParams], ValueError | None]:
-    """The parameter points in row order, up to the first invalid one."""
-    params = []
-    for lam, mu, delta in product(ns.lam, ns.mu, ns.delta):
-        try:
-            params.append(ClassParams(lam, mu, delta))
-        except ValueError as exc:
-            return params, exc
-    return params, None
-
-
 def cmd_table(ns: argparse.Namespace) -> int:
     _apply_preset(ns)
-    params, error = _table_params(ns)
+    points = list(product(ns.lam, ns.mu, ns.delta))
     ps = [eval_poly(ns.p, x) for x in ns.x]
     qs = [eval_poly(ns.q, x) for x in ns.x]
     # One core call on (params, x, upsilon) axes.
     p = np.array(ps)[:, None]
     q = np.array(qs)[:, None]
     upsilon = np.array(ns.upsilon)
-    table = bound_arrays(
-        *(np.array([getattr(c, name) for c in params])[:, None, None]
-          for name in ("lam", "mu", "delta")),
-        p, q, upsilon,
-    )
-    # Where BoundInputs would reject a row, build it there: it raises with
-    # its message.  Those rows precede the first invalid parameter point.
+    table = bound_arrays(*np.array(points).T[:, :, None, None], p, q, upsilon)
+    # Walk the parameter points in row order: an invalid point raises in
+    # ClassParams, and where BoundInputs would reject a row of a valid point,
+    # build it there: it raises with its message.
     valid = np.isfinite(p) & np.isfinite(q) & np.isfinite(upsilon) & np.isfinite(table.theta)
-    if not valid.all():
-        i, j, k = np.unravel_index(np.argmin(valid), valid.shape)
-        BoundInputs(params[i], ps[j], qs[j], ns.upsilon[k])
-    if error is not None:
-        raise error
+    for i, has_bad_row in enumerate((~valid.all(axis=(1, 2))).tolist()):
+        params = ClassParams(*points[i])
+        if has_bad_row:
+            j, k = np.unravel_index(np.argmin(valid[i]), valid.shape[1:])
+            BoundInputs(params, ps[j], qs[j], ns.upsilon[k])
 
     # CSV text: repr each distinct value once (an axis value, a2/a3 per
     # parameter point and x); JSON keeps the floats for its own encoder.
@@ -420,7 +410,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--k", type=_nonneg_int, default=10, help="largest index")
     sp.add_argument("--tol", type=_not_nan, default=1e-9)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("operator", help="operator coefficient identities")
     _add_param_flags(sp)
@@ -429,17 +418,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--tol", type=_not_nan, default=1e-9)
     sp.add_argument("--seed", type=int, default=None, help="random residual table")
     sp.add_argument("--draws", type=_nonneg_int, default=10)
-    sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("member", help="sampled real-part membership check")
     _add_param_flags(sp)
-    sp.add_argument("--alpha", type=float, default=0.0)
+    sp.add_argument("--alpha", type=float, default=ClassParams.alpha)
     sp.add_argument("--coeffs", type=_poly_type, default=None, help="a2,a3,...")
     sp.add_argument("--mode", choices=MEMBERSHIP_MODES, default="operator")
-    sp.add_argument("--r-max", dest="r_max", type=float, default=0.95)
-    sp.add_argument("--radii", type=_nonneg_int, default=64)
-    sp.add_argument("--angles", type=_nonneg_int, default=256)
-    sp.add_argument("--out", default=None)
+    sp.add_argument("--r-max", dest="r_max", type=float, default=DiskGrid.r_max)
+    sp.add_argument("--radii", type=_nonneg_int, default=DiskGrid.n_radii)
+    sp.add_argument("--angles", type=_nonneg_int, default=DiskGrid.n_angles)
 
     for name, upsilon_default, help_text in (
         ("bounds", "1", "closed-form bound sweep"),
@@ -456,7 +443,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         sp.add_argument("--q", type=_poly_type, default=(1.0,), help="q(x) coefficients")
         sp.add_argument("--preset", choices=PRESET_PINS, default=None)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("verify", help="brute-force bound verification")
     sp.add_argument("--draws", type=_nonneg_int, default=50)
@@ -467,8 +453,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--p-min", dest="p_min", type=_not_nan, default=0.1)
     sp.add_argument("--theta-min", dest="theta_min", type=_not_nan, default=2.0)
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.add_argument("--out", default=None)
 
+    for sp in sub.choices.values():  # last, so each usage line ends with it
+        sp.add_argument("--out", default=None)
     return parser, sub.choices  # argparse's own name -> subparser map
 
 

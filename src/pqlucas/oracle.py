@@ -33,7 +33,7 @@ above would double-count ``r1`` and is not what the functional eliminates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -128,15 +128,7 @@ class SupremumReport:
         return 1.0 if self.supremum == 0.0 else math.inf
 
     def as_dict(self) -> dict:
-        return {
-            "functional": self.functional,
-            "mode": self.mode,
-            "grid_n": self.grid_n,
-            "supremum": self.supremum,
-            "argmax": list(self.argmax),
-            "bound": self.bound,
-            "ratio": self.ratio,
-        }
+        return {**asdict(self), "argmax": list(self.argmax), "ratio": self.ratio}
 
 
 def _box_axes(grid_n: int, mode: str) -> tuple[np.ndarray, np.ndarray]:

@@ -3,14 +3,18 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pqlucas import bioperator, cli
-from pqlucas.bounds import FLAG_SETS, REGIMES
+from pqlucas.bioperator import ClassParams
+from pqlucas.bounds import FLAG_SETS, REGIMES, BoundInputs
 from pqlucas.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -214,6 +218,11 @@ class TestMember:
              EXIT_VERIFY_FAILED, "member_operator.json"),
             (["--coeffs", "0.2,-0.1,0.05", "--mode", "starlike"], EXIT_OK, "member_starlike.json"),
             (["--coeffs", "0.3,0.1", "--mode", "convex"], EXIT_OK, "member_convex.json"),
+            # on the default 64x256 grid the last bit of z f'(z) depends on
+            # the operand order of the complex multiply: the other order
+            # moves worst_point to its conjugate and min_real_part by 1 ulp
+            (["--coeffs=-0.11354613774868144,-0.005557597426725939,0.0703759933375565",
+              "--mode=starlike"], EXIT_OK, "member_starlike_conjugate.json"),
         ],
     )
     def test_output_bytes(self, capsys, argv, exit_code, golden):
@@ -306,6 +315,43 @@ class TestBoundsTable:
         assert exc.value.code == EXIT_USAGE
         usage = build_parser()[1][command].format_usage()
         assert capsys.readouterr().err == f"{usage}pqlucas {command}: error: {message}\n"
+
+    # run_exit reads capsys out, so no capture carries over between examples
+    @settings(deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        command=st.sampled_from(["bounds", "fekete"]),
+        # invalid parameters (lam < 1, mu or delta < 0), ones whose c1^2
+        # overflows, and an x whose p(x) = 1e200 x overflows theta
+        axes=st.tuples(*(
+            st.lists(st.sampled_from(pool), min_size=1, max_size=2, unique=True).map(sorted)
+            for pool in ([1.0, 2.0, 0.5, 1e160], [0.0, 1.0, -1.0, 1e160],
+                         [0.0, 1.0, -1.0, 1e160], [0.0, 0.5, 1.0, 1e160])
+        )),
+    )
+    def test_first_bad_row_on_mixed_axes(self, capsys, command, axes):
+        flags = [
+            f"--{flag}=" + (repr(v[0]) if len(v) == 1 else f"{v[0]!r}:{v[1]!r}:2")
+            for flag, v in zip(("lambda", "mu", "delta", "x"), axes)
+        ]
+        code, out, err = run_exit(capsys, [command, *flags, "--p=0,1e200"])
+        # the first row, in row order, that ClassParams or BoundInputs rejects
+        lams, mus, deltas, xs = axes
+        upsilons = [1.0] if command == "bounds" else np.linspace(0.0, 3.0, 31).tolist()
+        message = None
+        try:
+            for lam, mu, delta in itertools.product(lams, mus, deltas):
+                params = ClassParams(lam, mu, delta)
+                for x, upsilon in itertools.product(xs, upsilons):
+                    BoundInputs(params, 1e200 * x, 1.0, upsilon)
+        except ValueError as exc:
+            message = str(exc)
+        if message is None:
+            assert (code, err) == (EXIT_OK, "")
+        else:
+            usage = build_parser()[1][command].format_usage()
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err == f"{usage}pqlucas {command}: error: {message}\n"
 
     @pytest.mark.parametrize(
         "argv, golden",
@@ -514,6 +560,11 @@ class TestUsageErrors:
             (["operator", "--tol", "nan"], "operator", "argument --tol: value must not be nan"),
             (["verify", "--theta-min", "nan"], "verify",
              "argument --theta-min: value must not be nan"),
+            # argparse names the type function's __name__
+            (["verify", "--tol", "abc"], "verify", "argument --tol: invalid float value: 'abc'"),
+            (["verify", "--draws", "abc"], "verify",
+             "argument --draws: invalid int value: 'abc'"),
+            (["member", "--radii", "x"], "member", "argument --radii: invalid int value: 'x'"),
         ],
     )
     def test_exact_stderr(self, capsys, tmp_path, argv, command, message):

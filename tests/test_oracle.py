@@ -1,6 +1,7 @@
 """Brute-force sweeps: sample box, suprema vs bounds, sampling."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -189,6 +190,37 @@ class TestCornerSupremum:
             for functional in FUNCTIONALS:
                 supremum = sweep_max(inputs, functional, grid_n, mode).supremum
                 assert supremum <= corner_max(inputs, functional, mode)
+
+
+def exact_supremum(inputs, functional, mode):
+    """The supremum over the box in closed form, from p, c1, c2, theta, u.
+
+    With t = r1^2 the maximum of |A t + x| over |x| <= K (1 - t) is
+    |A| t + K (1 - t), affine in t, so it sits at r1 in {-1, 0, 1}.  Under
+    the schwarz cap r1 = +-1 leaves only the r1^2 term and r1 = 0 only the
+    (r2, s2) terms, so |a3| takes the larger of the two, not their sum.
+    """
+    p, theta, u = inputs.p, inputs.theta, inputs.upsilon
+    c1, c2 = inputs.params.c1, inputs.params.c2
+    if functional == "abs_a2":  # |r2 + s2| <= 2, at r1 = 0 under the cap
+        return math.sqrt(2.0 * abs(p) ** 3 / abs(theta))
+    if functional == "abs_a3":
+        head, tail = p * p / (c1 * c1), abs(p) / c2
+        return head + tail if mode == "paper" else max(head, tail)
+    # A (r2 + s2) + B (r2 - s2) peaks at |A + B| + |A - B| = 2 max(|A|, |B|)
+    a, b = (1.0 - u) * p**3 / theta, p / (2.0 * c2)
+    return 2.0 * max(abs(a), abs(b))
+
+
+class TestExactSupremum:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("grid_n", [3, 21])
+    def test_odd_grid_matches_closed_form(self, grid_n, mode):
+        for inputs in CORNER_DRAWS:
+            for functional in FUNCTIONALS:
+                supremum = sweep_max(inputs, functional, grid_n, mode).supremum
+                want = exact_supremum(inputs, functional, mode)
+                assert supremum == pytest.approx(want, rel=4 * sys.float_info.epsilon, abs=0)
 
 
 class TestRatioEdges:
