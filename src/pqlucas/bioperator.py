@@ -120,28 +120,21 @@ def apply_operator_inverse_side(
     return _operator_series(params, g)
 
 
-def direct_linear_coefficient(params: ClassParams, a2: float) -> float:
-    """Closed form of ``[z^1] D[f]``."""
-    return params.c1 * a2
+def closed_forms(params: ClassParams, a2: float, a3: float) -> tuple[float, float, float, float]:
+    """``([z] D[f], [z^2] D[f], [w] D[g], [w^2] D[g])`` for ``g = f^{-1}``.
 
-
-def direct_quadratic_coefficient(params: ClassParams, a2: float, a3: float) -> float:
-    """Closed form of ``[z^2] D[f]``."""
-    band = 1.0 + 6.0 * params.delta / (2.0 * params.lam + 1.0)
-    return (params.mu + 2.0 * params.lam) * (0.5 * (params.mu - 1.0) * a2 * a2 + band * a3)
-
-
-def inverse_linear_coefficient(params: ClassParams, a2: float) -> float:
-    """Closed form of ``[w^1] D[f^{-1}]``; the sign flips against the direct side."""
-    return -params.c1 * a2
-
-
-def inverse_quadratic_coefficient(params: ClassParams, a2: float, a3: float) -> float:
-    """Closed form of ``[w^2] D[f^{-1}]``."""
+    The first-order sign flips between the two sides.  The ``a3`` weight
+    ``m2 * band`` of the second-order forms equals ``params.c2`` only at
+    ``delta = 0``.
+    """
     lam1 = 2.0 * params.lam + 1.0
-    return (params.mu + 2.0 * params.lam) * (
-        (0.5 * (params.mu + 3.0) + 12.0 * params.delta / lam1) * a2 * a2
-        - (1.0 + 6.0 * params.delta / lam1) * a3
+    band = 1.0 + 6.0 * params.delta / lam1
+    m2 = params.mu + 2.0 * params.lam
+    return (
+        params.c1 * a2,
+        m2 * (0.5 * (params.mu - 1.0) * a2 * a2 + band * a3),
+        -params.c1 * a2,
+        m2 * ((0.5 * (params.mu + 3.0) + 12.0 * params.delta / lam1) * a2 * a2 - band * a3),
     )
 
 
@@ -180,12 +173,7 @@ def extract_coefficient_identities(
         inverse.coefficient(1),
         inverse.coefficient(2),
     )
-    closed = (
-        direct_linear_coefficient(params, a2),
-        direct_quadratic_coefficient(params, a2, a3),
-        inverse_linear_coefficient(params, a2),
-        inverse_quadratic_coefficient(params, a2, a3),
-    )
+    closed = closed_forms(params, a2, a3)
     residuals = tuple(abs(pipe - ref) for pipe, ref in zip(pipeline, closed))
     return CoefficientIdentityReport(pipeline, closed, residuals, direct)
 

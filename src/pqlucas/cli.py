@@ -27,7 +27,7 @@ import json
 import os
 import statistics
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from itertools import chain, product
 
 import numpy as np
@@ -142,18 +142,20 @@ def _emit(text: str, out: str | None, passed: bool = True) -> int:
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
-def _csv_text(columns: tuple[str, ...], rows: Iterable[Sequence[str]]) -> str:
-    """CSV text, CRLF rows: the bytes ``csv.writer`` gives for these cells.
-
-    Cells are already text (``str`` of ints and Python floats).  None needs
-    quoting: numbers, regime tags and flag texts hold no comma, quote or
-    line break.
-    """
-    return "".join(",".join(row) + "\r\n" for row in chain((columns,), rows))
-
-
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
+
+
+def _table_text(fmt: str, columns: tuple[str, ...], rows: list[Sequence]) -> str:
+    """A JSON object with a ``rows`` array, or CSV text with CRLF rows.
+
+    CSV cells are already text (``str`` of ints and Python floats), and the
+    bytes are what ``csv.writer`` gives for them.  None needs quoting:
+    numbers, regime tags and flag texts hold no comma, quote or line break.
+    """
+    if fmt == "json":
+        return _json_text({"rows": [dict(zip(columns, row)) for row in rows]})
+    return "".join(",".join(row) + "\r\n" for row in chain((columns,), rows))
 
 
 # ----------------------------------------------------------------- lucas
@@ -163,21 +165,17 @@ def cmd_lucas(ns: argparse.Namespace) -> int:
     seq = lucas_sequence(pair, ns.k)
     gen = generating_series(pair, ns.k)
     rows = []
-    worst = 0.0
     for k in range(ns.k + 1):
         rec = seq.values[k]
         ser = gen.coefficient(k)
         if not (cmath.isfinite(rec) and cmath.isfinite(ser)):
             raise ValueError(f"L_{k} must be finite: p(x) or q(x) is too large")
-        diff = abs(rec - ser)
-        worst = max(worst, diff)
-        rows.append([k, rec, ser.real, diff])
+        rows.append([k, rec, ser.real, abs(rec - ser)])
+    passed = max(row[3] for row in rows) <= ns.tol
+    if ns.format == "csv":
+        rows = [[str(v) for v in row] for row in rows]
     columns = ("k", "lucas_recurrence", "lucas_series", "abs_diff")
-    if ns.format == "json":
-        text = _json_text({"rows": [dict(zip(columns, row)) for row in rows]})
-    else:
-        text = _csv_text(columns, ([str(v) for v in row] for row in rows))
-    return _emit(text, ns.out, worst <= ns.tol)
+    return _emit(_table_text(ns.format, columns, rows), ns.out, passed)
 
 
 # -------------------------------------------------------------- operator
@@ -304,12 +302,7 @@ def cmd_table(ns: argparse.Namespace) -> int:
             for u in ups:
                 rows.append((*head, *x_cells, u, a2[b], a3[b], fs[n], regimes[n], flags[n]))
                 n += 1
-    if ns.format == "json":
-        payload = {"rows": [dict(zip(TABLE_COLUMNS, row)) for row in rows]}
-        text = _json_text(payload)
-    else:
-        text = _csv_text(TABLE_COLUMNS, rows)
-    return _emit(text, ns.out)
+    return _emit(_table_text(ns.format, TABLE_COLUMNS, rows), ns.out)
 
 
 def _row_flags(table: BoundArrays) -> list[str]:

@@ -60,8 +60,9 @@ class SchwarzSample(NamedTuple):
     s2: float
 
 
-def _a2_sq(inputs: BoundInputs, r2, s2):
-    return inputs.p**3 * (r2 + s2) / inputs.theta
+def _a2_sq(inputs: BoundInputs, r2, s2, weight=1.0):
+    """``weight * p^3 (r2 + s2) / theta``; weighting the result rounds differently."""
+    return weight * inputs.p**3 * (r2 + s2) / inputs.theta
 
 
 def _r2_minus_s2_term(inputs: BoundInputs, r2, s2):
@@ -79,8 +80,7 @@ def _a3(inputs: BoundInputs, r1, r2, s2):
 
 
 def _fekete(inputs: BoundInputs, r1, r2, s2):
-    # Not (1 - u) * _a2_sq(...), which rounds differently in the last bit.
-    head = (1.0 - inputs.upsilon) * inputs.p**3 * (r2 + s2) / inputs.theta
+    head = _a2_sq(inputs, r2, s2, 1.0 - inputs.upsilon)
     return head + _r2_minus_s2_term(inputs, r2, s2)
 
 

@@ -12,11 +12,8 @@ from pqlucas.bioperator import (
     apply_operator,
     apply_operator_inverse_side,
     check_membership_realpart,
-    direct_linear_coefficient,
-    direct_quadratic_coefficient,
+    closed_forms,
     extract_coefficient_identities,
-    inverse_linear_coefficient,
-    inverse_quadratic_coefficient,
 )
 from pqlucas import series as ps
 from pqlucas.series import FunctionSpec
@@ -133,18 +130,33 @@ class TestOperatorSeries:
         assert abs(out.coefficient(2) - 0.07) <= 1e-12
 
 
+def separate_closed_forms(params, a2, a3):
+    """The four closed forms, each written out in full with its own factors."""
+    band = 1.0 + 6.0 * params.delta / (2.0 * params.lam + 1.0)
+    lam1 = 2.0 * params.lam + 1.0
+    return (
+        params.c1 * a2,
+        (params.mu + 2.0 * params.lam) * (0.5 * (params.mu - 1.0) * a2 * a2 + band * a3),
+        -params.c1 * a2,
+        (params.mu + 2.0 * params.lam) * (
+            (0.5 * (params.mu + 3.0) + 12.0 * params.delta / lam1) * a2 * a2
+            - (1.0 + 6.0 * params.delta / lam1) * a3
+        ),
+    )
+
+
 class TestClosedForms:
     def test_frozen_point(self):
         params = ClassParams(lam=1.0, mu=0.0, delta=0.0)
-        a2, a3 = 0.3, 0.1
-        assert abs(direct_linear_coefficient(params, a2) - 0.3) <= 1e-15
-        assert abs(direct_quadratic_coefficient(params, a2, a3) - 0.11) <= 1e-15
-        assert abs(inverse_linear_coefficient(params, a2) - (-0.3)) <= 1e-15
-        assert abs(inverse_quadratic_coefficient(params, a2, a3) - 0.07) <= 1e-15
+        z, z2, w, w2 = closed_forms(params, 0.3, 0.1)
+        assert abs(z - 0.3) <= 1e-15
+        assert abs(z2 - 0.11) <= 1e-15
+        assert abs(w - (-0.3)) <= 1e-15
+        assert abs(w2 - 0.07) <= 1e-15
 
     def test_linear_antisymmetry(self):
-        params = ClassParams(1.7, 2.4, 0.9)
-        assert direct_linear_coefficient(params, 0.8) == -inverse_linear_coefficient(params, 0.8)
+        z, _, w, _ = closed_forms(ClassParams(1.7, 2.4, 0.9), 0.8, 0.0)
+        assert z == -w
 
     def test_quadratic_sum_drops_a3(self):
         # direct + inverse second-order coefficients depend only on a2^2
@@ -153,10 +165,33 @@ class TestClosedForms:
         band = params.mu + 1.0 + 12.0 * params.delta / (2.0 * params.lam + 1.0)
         want = (params.mu + 2.0 * params.lam) * band * a2 * a2
         for a3 in (-0.4, 0.0, 0.9):
-            got = direct_quadratic_coefficient(params, a2, a3) + inverse_quadratic_coefficient(
-                params, a2, a3
-            )
-            assert abs(got - want) <= 1e-12
+            _, z2, _, w2 = closed_forms(params, a2, a3)
+            assert abs(z2 + w2 - want) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lam=st.floats(1.0, 1e6),
+        mu=st.floats(0.0, 1e6),
+        delta=st.floats(0.0, 1e6),
+        a2=st.floats(-1e3, 1e3),
+        a3=st.floats(-1e3, 1e3),
+    )
+    def test_bits_match_separate_forms(self, lam, mu, delta, a2, a3):
+        params = ClassParams(lam, mu, delta)
+        assert repr(closed_forms(params, a2, a3)) == repr(separate_closed_forms(params, a2, a3))
+
+    @pytest.mark.parametrize(
+        "delta",
+        [
+            0.0,
+            pytest.param(0.7, marks=pytest.mark.xfail(strict=True, reason=(
+                "ROADMAP item 2: c2 = mu + 2 lam + 2 xi delta, the operator's a3 weight "
+                "is mu + 2 lam + 6 xi delta"))),
+        ],
+    )
+    def test_c2_is_the_operator_a3_weight(self, delta):
+        params = ClassParams(1.8, 1.3, delta)
+        assert closed_forms(params, 0.0, 1.0)[1] == pytest.approx(params.c2, rel=1e-15, abs=0.0)
 
 
 class TestIdentityExtraction:

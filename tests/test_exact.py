@@ -70,17 +70,11 @@ def test_inverse_coefficients():
 
 
 @pytest.mark.parametrize(
-    "index, closed_form",
-    [
-        (0, lambda s: bioperator.direct_linear_coefficient(s, a2)),
-        (1, lambda s: bioperator.direct_quadratic_coefficient(s, a2, a3)),
-        (2, lambda s: bioperator.inverse_linear_coefficient(s, a2)),
-        (3, lambda s: bioperator.inverse_quadratic_coefficient(s, a2, a3)),
-    ],
-    ids=["direct_z", "direct_z2", "inverse_w", "inverse_w2"],
+    "index", range(4), ids=["direct_z", "direct_z2", "inverse_w", "inverse_w2"]
 )
-def test_operator_coefficient(derived, symbolic_params, index, closed_form):
-    assert sympy.simplify(derived[index] - exact(closed_form(symbolic_params))) == 0
+def test_operator_coefficient(derived, symbolic_params, index):
+    closed_form = bioperator.closed_forms(symbolic_params, a2, a3)[index]
+    assert sympy.simplify(derived[index] - exact(closed_form)) == 0
 
 
 def test_theta(derived, symbolic_params):

@@ -173,6 +173,21 @@ class TestBlockedSweep:
             assert repr(got.as_dict()) == repr(want.as_dict())
 
 
+class TestFunctionalBits:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_match_formulas_written_out(self, mode):
+        # each formula in full, operands in the order the oracle applies them
+        r1_vals, axis = oracle._box_axes(9, mode)
+        r1, r2, s2 = r1_vals[:, None, None], axis[:, :, None], axis[:, None, :]
+        for inputs in random_inputs(np.random.default_rng(18), 20):
+            p, theta = inputs.p, inputs.theta
+            tail = p * (r2 - s2) / (2.0 * inputs.params.c2)
+            fekete = (1.0 - inputs.upsilon) * p**3 * (r2 + s2) / theta + tail
+            abs_a2 = np.sqrt(np.abs(p**3 * (r2 + s2) / theta))
+            assert oracle._fekete(inputs, r1, r2, s2).tobytes() == fekete.tobytes()
+            assert oracle._abs_a2(inputs, r1, r2, s2).tobytes() == abs_a2.tobytes()
+
+
 class TestCornerSupremum:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("grid_n", [3, 21, 41])
