@@ -11,93 +11,16 @@ the functional it dominates (:mod:`.oracle`).  :mod:`.cli` exposes all of
 it as the ``pqlucas`` command.
 """
 
-from .series import (
-    FunctionSpec,
-    TruncatedSeries,
-    compose,
-    derivative,
-    eval_poly,
-    pow_real,
-    revert_series,
-)
-from .lucas import (
-    LucasSequence,
-    PolyPair,
-    generating_series,
-    lucas_sequence,
-)
-from .bioperator import (
-    ClassParams,
-    CoefficientIdentityReport,
-    DiskGrid,
-    MembershipReport,
-    apply_operator,
-    apply_operator_inverse_side,
-    check_membership_realpart,
-    extract_coefficient_identities,
-)
-from .bounds import (
-    BoundArrays,
-    BoundInputs,
-    BoundReport,
-    DegenerateDenominatorError,
-    UNBOUNDED,
-    bound_a2,
-    bound_a3,
-    bound_arrays,
-    fekete_szego_bound,
-    preset,
-)
-from .oracle import (
-    FUNCTIONALS,
-    MODES,
-    SchwarzSample,
-    SupremumReport,
-    VerificationReport,
-    random_inputs,
-    sweep_max,
-    verify_bounds,
-)
+from .series import *
+from .lucas import *
+from .bioperator import *
+from .bounds import *
+from .oracle import *
+from . import bioperator, bounds, lucas, oracle, series
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FunctionSpec",
-    "TruncatedSeries",
-    "compose",
-    "derivative",
-    "eval_poly",
-    "pow_real",
-    "revert_series",
-    "LucasSequence",
-    "PolyPair",
-    "generating_series",
-    "lucas_sequence",
-    "ClassParams",
-    "CoefficientIdentityReport",
-    "DiskGrid",
-    "MembershipReport",
-    "apply_operator",
-    "apply_operator_inverse_side",
-    "check_membership_realpart",
-    "extract_coefficient_identities",
-    "BoundArrays",
-    "BoundInputs",
-    "BoundReport",
-    "DegenerateDenominatorError",
-    "UNBOUNDED",
-    "bound_a2",
-    "bound_a3",
-    "bound_arrays",
-    "fekete_szego_bound",
-    "preset",
-    "FUNCTIONALS",
-    "MODES",
-    "SchwarzSample",
-    "SupremumReport",
-    "VerificationReport",
-    "random_inputs",
-    "sweep_max",
-    "verify_bounds",
-    "__version__",
-]
+__all__ = (
+    series.__all__ + lucas.__all__ + bioperator.__all__ + bounds.__all__ + oracle.__all__
+    + ["__version__"]
+)

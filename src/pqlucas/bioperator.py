@@ -21,12 +21,23 @@ forms, plus a sampled real-part membership check on sub-disks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import series as ps
 from .series import FunctionSpec, TruncatedSeries, eval_poly, revert_series
+
+__all__ = [
+    "ClassParams",
+    "CoefficientIdentityReport",
+    "DiskGrid",
+    "MembershipReport",
+    "apply_operator",
+    "apply_operator_inverse_side",
+    "check_membership_realpart",
+    "extract_coefficient_identities",
+]
 
 MEMBERSHIP_MODES = ("operator", "starlike", "convex")
 
@@ -39,14 +50,19 @@ class ClassParams:
     """Operator parameters ``(lam, mu, delta)`` plus the order bound ``alpha``.
 
     Validation mirrors the definition of the function class: ``lam >= 1``,
-    ``mu >= 0``, ``delta >= 0`` and ``0 <= alpha < 1``.  Under those ranges
-    the derived combinations ``c1`` and ``c2`` are automatically >= 1.
+    ``mu >= 0``, ``delta >= 0`` and ``0 <= alpha < 1``.  Construction then
+    sets ``xi``, ``c1``, ``c2`` and ``mass`` from :func:`multipliers`; under
+    those ranges ``c1`` and ``c2`` are automatically >= 1.
     """
 
     lam: float
     mu: float
     delta: float
     alpha: float = 0.0
+    xi: float = field(init=False, repr=False, compare=False)
+    c1: float = field(init=False, repr=False, compare=False)
+    c2: float = field(init=False, repr=False, compare=False)
+    mass: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("lam", "mu", "delta", "alpha"):
@@ -61,40 +77,38 @@ class ClassParams:
             raise ValueError("delta must be >= 0")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError("alpha must lie in [0, 1)")
-
-    @property
-    def xi(self) -> float:
-        return multipliers(self.lam, self.mu, self.delta)[0]
-
-    @property
-    def c1(self) -> float:
-        """First-order coefficient multiplier ``mu + lam + 2 xi delta``."""
-        return multipliers(self.lam, self.mu, self.delta)[1]
-
-    @property
-    def c2(self) -> float:
-        """Second-order coefficient multiplier ``mu + 2 lam + 2 xi delta``."""
-        return multipliers(self.lam, self.mu, self.delta)[2]
+        derived = multipliers(self.lam, self.mu, self.delta)
+        for name, value in zip(("xi", "c1", "c2", "mass"), derived):
+            object.__setattr__(self, name, value)
 
 
 def multipliers(lam, mu, delta):
-    """``(xi, c1, c2)`` of the operator, for floats and numpy arrays alike."""
-    xi = (2.0 * lam + mu) / (2.0 * lam + 1.0)
+    """``(xi, c1, c2, mass)`` of the operator, for floats and numpy arrays alike.
+
+    ``xi = (mu + 2 lam)/(2 lam + 1)``; the multipliers are ``c1 = mu + lam +
+    2 xi delta`` and ``c2 = mu + 2 lam + 2 xi delta``; ``theta``'s mass term
+    ``mass = (mu + 2 lam)(1 + mu + 12 delta/(2 lam + 1))`` is the ``a2^2``
+    weight of the two second-order identities added together.
+    """
+    lam1 = 2.0 * lam + 1.0
+    m2 = mu + 2.0 * lam
+    xi = m2 / lam1
     two_xi_delta = 2.0 * xi * delta
-    return xi, mu + lam + two_xi_delta, mu + 2.0 * lam + two_xi_delta
+    return xi, mu + lam + two_xi_delta, m2 + two_xi_delta, m2 * (1.0 + mu + 12.0 * delta / lam1)
 
 
 def _operator_series(params: ClassParams, s: TruncatedSeries) -> TruncatedSeries:
     """Apply the operator to a normalized series (c0 = 0, c1 = 1)."""
     ratio = ps.shift_down(s)
+    ds = ps.derivative(s)
     out = ps.scale(ps.pow_real(ratio, params.mu), 1.0 - params.lam)
     out = ps.add(
         out,
-        ps.scale(ps.mul(ps.derivative(s), ps.pow_real(ratio, params.mu - 1.0)), params.lam),
+        ps.scale(ps.mul(ds, ps.pow_real(ratio, params.mu - 1.0)), params.lam),
     )
     out = ps.add(
         out,
-        ps.scale(ps.shift_up(ps.derivative(ps.derivative(s))), params.xi * params.delta),
+        ps.scale(ps.shift_up(ps.derivative(ds)), params.xi * params.delta),
     )
     return out
 

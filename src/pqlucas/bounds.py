@@ -43,6 +43,19 @@ import numpy as np
 
 from .bioperator import ClassParams, multipliers
 
+__all__ = [
+    "BoundArrays",
+    "BoundInputs",
+    "BoundReport",
+    "DegenerateDenominatorError",
+    "UNBOUNDED",
+    "bound_a2",
+    "bound_a3",
+    "bound_arrays",
+    "fekete_szego_bound",
+    "preset",
+]
+
 UNBOUNDED = math.inf
 
 THETA_TOL = 1e-12
@@ -77,16 +90,9 @@ def _pow(base, exponent: float):
     return np.reshape([one(b) for b in np.ravel(base).tolist()], np.shape(base))
 
 
-def _theta_factors(lam, mu, delta, c1):
-    """The parameter-only factors of ``theta``: its mass term and ``c1^2``."""
-    mass = (mu + 2.0 * lam) * (1.0 + mu + 12.0 * delta / (2.0 * lam + 1.0))
-    return mass, _pow(c1, 2)
-
-
-def _theta_terms(lam, mu, delta, c1, p, q):
+def _theta_terms(mass, c1, p, q):
     """The two terms of ``theta``, for floats and numpy arrays alike."""
-    mass, c1_squared = _theta_factors(lam, mu, delta, c1)
-    return mass * p * p, 2.0 * c1_squared * (p * p + 2.0 * q)
+    return mass * p * p, 2.0 * _pow(c1, 2) * (p * p + 2.0 * q)
 
 
 _FLAG_P_ZERO = "p(x) = 0: the first-order coefficient identity forces a2 = 0"
@@ -158,8 +164,8 @@ def bound_arrays(lam, mu, delta, p, q, upsilon) -> BoundArrays:
         np.asarray(a, dtype=float) for a in (lam, mu, delta, p, q, upsilon)
     )
     with np.errstate(all="ignore"):
-        _, c1, c2 = multipliers(lam, mu, delta)
-        t1, t2 = _theta_terms(lam, mu, delta, c1, p, q)
+        _, c1, c2, mass = multipliers(lam, mu, delta)
+        t1, t2 = _theta_terms(mass, c1, p, q)
         th = t1 - t2
         theta_zero = np.abs(th) <= THETA_TOL * np.maximum(1.0, np.abs(t1) + np.abs(t2))
         p_zero = p == 0.0
@@ -242,8 +248,7 @@ class BoundInputs:
         arrays = bound_arrays(params.lam, params.mu, params.delta, self.p, self.q, self.upsilon)
         th = float(arrays.theta)
         if not math.isfinite(th):
-            factors = _theta_factors(params.lam, params.mu, params.delta, params.c1)
-            if not all(math.isfinite(v) for v in factors):
+            if not all(math.isfinite(v) for v in (params.mass, _pow(params.c1, 2))):
                 raise ValueError("theta must be finite: lambda, mu or delta is too large")
             raise ValueError("theta must be finite: p(x) or q(x) is too large")
         object.__setattr__(self, "theta", th)

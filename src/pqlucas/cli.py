@@ -105,7 +105,10 @@ def _range_type(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError("range span must be finite")
     if steps == 1:
         return (start,)
-    return tuple(float(v) for v in np.linspace(start, stop, steps))
+    try:
+        return tuple(float(v) for v in np.linspace(start, stop, steps))
+    except MemoryError:
+        raise argparse.ArgumentTypeError(f"range of {steps} steps does not fit in memory") from None
 
 
 def _nonneg_int(text: str) -> int:
@@ -500,7 +503,7 @@ def main(argv: list[str] | None = None) -> int:
                 "bounds": cmd_table, "fekete": cmd_table, "verify": cmd_verify}
     try:
         return commands[ns.command](ns)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         # the table commands report with their usage text, as argparse does
         if ns.command in ("bounds", "fekete"):
             subparsers[ns.command].error(str(exc))

@@ -18,6 +18,13 @@ from dataclasses import dataclass, field
 
 from .series import TruncatedSeries, div, eval_poly, series
 
+__all__ = [
+    "LucasSequence",
+    "PolyPair",
+    "generating_series",
+    "lucas_sequence",
+]
+
 
 @dataclass(frozen=True)
 class PolyPair:

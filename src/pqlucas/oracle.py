@@ -42,6 +42,17 @@ from . import bounds as bnd
 from .bounds import BoundInputs, DegenerateDenominatorError
 from .bioperator import ClassParams
 
+__all__ = [
+    "FUNCTIONALS",
+    "MODES",
+    "SchwarzSample",
+    "SupremumReport",
+    "VerificationReport",
+    "random_inputs",
+    "sweep_max",
+    "verify_bounds",
+]
+
 MODES = ("paper", "schwarz")
 
 # Grid points per sweep block (whole r1 rows, at least one).  Up to grid_n

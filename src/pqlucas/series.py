@@ -21,6 +21,16 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
+__all__ = [
+    "FunctionSpec",
+    "TruncatedSeries",
+    "compose",
+    "derivative",
+    "eval_poly",
+    "pow_real",
+    "revert_series",
+]
+
 # Preconditions on constant terms are checked against small absolute
 # tolerances so that series produced by prior float arithmetic still pass.
 _UNIT_CONSTANT_TOL = 1e-9

@@ -21,12 +21,40 @@ from pqlucas.series import FunctionSpec
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
 
+def separate_multipliers(lam, mu, delta):
+    """``xi``, ``c1``, ``c2`` and ``theta``'s mass term, each written out on its own."""
+    xi = (2.0 * lam + mu) / (2.0 * lam + 1.0)
+    two_xi_delta = 2.0 * xi * delta
+    mass = (mu + 2.0 * lam) * (1.0 + mu + 12.0 * delta / (2.0 * lam + 1.0))
+    return xi, mu + lam + two_xi_delta, mu + 2.0 * lam + two_xi_delta, mass
+
+
 class TestClassParams:
     def test_derived_multipliers(self):
         params = ClassParams(lam=1.0, mu=2.0, delta=1.0)
         assert abs(params.xi - 4.0 / 3.0) <= 1e-15
         assert abs(params.c1 - 17.0 / 3.0) <= 1e-14
         assert abs(params.c2 - 20.0 / 3.0) <= 1e-14
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lam=st.floats(1.0, 4.0) | st.floats(1.0, 1e300),
+        mu=st.floats(0.0, 4.0) | st.floats(0.0, 1e300),
+        delta=st.floats(0.0, 4.0) | st.floats(0.0, 1e300),
+    )
+    def test_derived_bits_match_separate_formulas(self, lam, mu, delta):
+        # Small values are where a reordered sum rounds differently; inf (an
+        # overflowing c1, c2 or mass) and nan compare by repr too.
+        params = ClassParams(lam, mu, delta)
+        derived = (params.xi, params.c1, params.c2, params.mass)
+        assert repr(derived) == repr(separate_multipliers(lam, mu, delta))
+
+    def test_equal_params_share_repr_eq_and_hash(self):
+        a, b = ClassParams(2, 1.5, 0.3), ClassParams(2.0, 1.5, 0.3, alpha=0)
+        # the derived values stay out of repr, == and hash
+        assert repr(a) == repr(b) == "ClassParams(lam=2.0, mu=1.5, delta=0.3, alpha=0.0)"
+        assert a == b
+        assert hash(a) == hash(b) == hash((2.0, 1.5, 0.3, 0.0))
 
     def test_no_second_derivative_term(self):
         params = ClassParams(lam=2.0, mu=0.5, delta=0.0)

@@ -6,6 +6,10 @@ import io
 import itertools
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -594,6 +598,32 @@ class TestUsageErrors:
         assert (code, out, err) == (
             EXIT_USAGE, "", "error: rejection sampling did not converge\n"
         )
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--grid-n", "10000000", "--draws", "1"],
+            ["verify", "--grid-n", "10000000", "--draws", "1", "--mode", "schwarz"],
+            ["bounds", "--x=0:1:100000000000000"],
+        ],
+    )
+    def test_out_of_memory_is_usage_error(self, argv):
+        # Each call needs one array larger than any user address space (728
+        # TiB or 10^14 doubles); the child's 2 GiB cap makes it fail at once.
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run(
+            [sys.executable, "-m", "pqlucas.cli", *argv], capture_output=True, text=True,
+            env=env, preexec_fn=cap_address_space, timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (EXIT_USAGE, "")
+        assert "Traceback" not in result.stderr
+        assert sum("error:" in line for line in result.stderr.splitlines()) == 1
 
 
 class TestConfigAndOutput:

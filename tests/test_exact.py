@@ -54,8 +54,8 @@ def derived():
 def symbolic_params():
     # The closed forms read only these attributes; ClassParams would turn
     # the symbols into floats.
-    _, c1, _ = bioperator.multipliers(lam, mu, delta)
-    return SimpleNamespace(lam=lam, mu=mu, delta=delta, c1=c1)
+    _, c1, _, mass = bioperator.multipliers(lam, mu, delta)
+    return SimpleNamespace(lam=lam, mu=mu, delta=delta, c1=c1, mass=mass)
 
 
 def exact(expr):
@@ -77,6 +77,13 @@ def test_operator_coefficient(derived, symbolic_params, index):
     assert sympy.simplify(derived[index] - exact(closed_form)) == 0
 
 
+def test_mass_is_the_summed_a2_squared_weight(symbolic_params):
+    # theta's mass term is the a2^2 coefficient of [z^2] D[f] + [w^2] D[f^-1]
+    _, d2, _, i2 = bioperator.closed_forms(symbolic_params, a2, a3)
+    summed = sum(sympy.expand(exact(form)).coeff(a2, 2) for form in (d2, i2))
+    assert sympy.simplify(summed - exact(symbolic_params.mass)) == 0
+
+
 def test_theta(derived, symbolic_params):
     # Subordination to 1 + L1 u + L2 u^2 + ... gives
     #   [z] D[f]   = L1 u1,   [z^2] D[f]   = L1 u2 + L2 u1^2,
@@ -90,6 +97,6 @@ def test_theta(derived, symbolic_params):
     theta_a2_squared = sympy.expand(l1**2 * (d2 + i2) - 2 * l2 * d1**2)
     theta_derived = sympy.cancel(theta_a2_squared / a2**2)
     assert not theta_derived.free_symbols & {a2, a3}
-    t1, t2 = bounds._theta_terms(lam, mu, delta, symbolic_params.c1, p, q)
+    t1, t2 = bounds._theta_terms(symbolic_params.mass, symbolic_params.c1, p, q)
     closed = exact(t1 - t2)
     assert sympy.simplify(theta_derived - closed) == 0

@@ -21,6 +21,50 @@ EXAMPLES = [
 ]
 
 
+def test_all_is_the_documented_list():
+    # each module lists its own exports; the package joins them in this order
+    assert pqlucas.__all__ == [
+        "FunctionSpec",
+        "TruncatedSeries",
+        "compose",
+        "derivative",
+        "eval_poly",
+        "pow_real",
+        "revert_series",
+        "LucasSequence",
+        "PolyPair",
+        "generating_series",
+        "lucas_sequence",
+        "ClassParams",
+        "CoefficientIdentityReport",
+        "DiskGrid",
+        "MembershipReport",
+        "apply_operator",
+        "apply_operator_inverse_side",
+        "check_membership_realpart",
+        "extract_coefficient_identities",
+        "BoundArrays",
+        "BoundInputs",
+        "BoundReport",
+        "DegenerateDenominatorError",
+        "UNBOUNDED",
+        "bound_a2",
+        "bound_a3",
+        "bound_arrays",
+        "fekete_szego_bound",
+        "preset",
+        "FUNCTIONALS",
+        "MODES",
+        "SchwarzSample",
+        "SupremumReport",
+        "VerificationReport",
+        "random_inputs",
+        "sweep_max",
+        "verify_bounds",
+        "__version__",
+    ]
+
+
 def test_all_names_resolve():
     missing = [name for name in pqlucas.__all__ if not hasattr(pqlucas, name)]
     assert missing == []
