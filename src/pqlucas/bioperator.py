@@ -113,25 +113,18 @@ def _operator_series(params: ClassParams, s: TruncatedSeries) -> TruncatedSeries
     return out
 
 
-def apply_operator(params: ClassParams, f: FunctionSpec, order: int = 2) -> TruncatedSeries:
-    """Taylor series of ``D[f]`` through ``order`` (constant term 1)."""
-    if order < 2:
-        raise ValueError("operator expansion needs order >= 2")
-    return _operator_series(params, f.to_series(order + 1))
+def apply_operator(params: ClassParams, f: FunctionSpec) -> TruncatedSeries:
+    """Taylor series of ``D[f]`` through order 2 (constant term 1)."""
+    return _operator_series(params, f.to_series(3))
 
 
-def apply_operator_inverse_side(
-    params: ClassParams, f: FunctionSpec, order: int = 2
-) -> TruncatedSeries:
-    """Taylor series of ``D[g]`` for ``g = f^{-1}``, through ``order``.
+def apply_operator_inverse_side(params: ClassParams, f: FunctionSpec) -> TruncatedSeries:
+    """Taylor series of ``D[g]`` for ``g = f^{-1}``, through order 2.
 
-    The inverse is produced by series reversion, so ``order`` must stay
-    within what the coefficients of ``f`` determine (``order <= truncation``).
+    The inverse is produced by series reversion through order 3, which
+    reads ``f`` as a polynomial: ``f`` must store ``a2`` (truncation >= 2).
     """
-    if order < 2:
-        raise ValueError("operator expansion needs order >= 2")
-    g = revert_series(f, order + 1)
-    return _operator_series(params, g)
+    return _operator_series(params, revert_series(f, 3))
 
 
 def closed_forms(params: ClassParams, a2: float, a3: float) -> tuple[float, float, float, float]:
@@ -179,8 +172,8 @@ def extract_coefficient_identities(
         raise ValueError("identity extraction needs coefficients a2 and a3")
     a2 = f.coefficient(2)
     a3 = f.coefficient(3)
-    direct = apply_operator(params, f, order=2)
-    inverse = apply_operator_inverse_side(params, f, order=2)
+    direct = apply_operator(params, f)
+    inverse = apply_operator_inverse_side(params, f)
     pipeline = (
         direct.coefficient(1),
         direct.coefficient(2),

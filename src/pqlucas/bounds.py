@@ -47,7 +47,6 @@ __all__ = [
     "BoundArrays",
     "BoundInputs",
     "BoundReport",
-    "DegenerateDenominatorError",
     "UNBOUNDED",
     "bound_a2",
     "bound_a3",
@@ -67,10 +66,6 @@ PRESET_PINS: dict[str, dict[str, float]] = {
     "bistarlike": {"lam": 1.0, "mu": 0.0, "delta": 0.0},
     "mu1": {"mu": 1.0},
 }
-
-
-class DegenerateDenominatorError(ValueError):
-    """A vanishing denominator makes the requested quantity undefined."""
 
 
 def _pow(base, exponent: float):
@@ -308,25 +303,14 @@ def fekete_szego_bound(inputs: BoundInputs) -> BoundReport:
     return _report(arrays.fs, arrays.fs_flags, REGIMES[int(arrays.regime)])
 
 
-def preset(name: str, **overrides: float) -> ClassParams:
+def preset(name: str) -> ClassParams:
     """Named parameter pins for the recurring sub-families.
 
     ``caglar`` pins ``delta = 0``; ``srivastava`` pins ``(lam, mu, delta) =
     (1, 1, 0)``; ``bistarlike`` pins ``(1, 0, 0)``; ``mu1`` pins ``mu = 1``.
-    Unpinned fields may be supplied as overrides (defaults: ``lam = 1``,
-    ``mu = 1``, ``delta = 0``, ``alpha = 0``); overriding a pinned field is
-    an error, as is an unknown tag.
+    Unpinned parameters are ``lam = mu = 1``, ``delta = 0``; ``alpha`` is 0.
+    An unknown tag is an error.
     """
     if name not in PRESET_PINS:
         raise ValueError(f"unknown preset tag: {name!r}")
-    pins = PRESET_PINS[name]
-    unknown = set(overrides) - {"lam", "mu", "delta", "alpha"}
-    if unknown:
-        raise ValueError(f"unknown parameter overrides: {sorted(unknown)}")
-    clash = set(overrides) & set(pins)
-    if clash:
-        raise ValueError(f"preset {name!r} pins {sorted(clash)}; override not allowed")
-    values = {"lam": 1.0, "mu": 1.0, "delta": 0.0, "alpha": 0.0}
-    values.update(overrides)
-    values.update(pins)
-    return ClassParams(**values)
+    return ClassParams(**{"lam": 1.0, "mu": 1.0, "delta": 0.0, **PRESET_PINS[name]})

@@ -412,7 +412,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--a2", type=float, default=0.5)
     sp.add_argument("--a3", type=float, default=0.25)
     sp.add_argument("--tol", type=_not_nan, default=1e-9)
-    sp.add_argument("--seed", type=int, default=None, help="random residual table")
+    sp.add_argument("--seed", type=_nonneg_int, default=None, help="random residual table")
     sp.add_argument("--draws", type=_nonneg_int, default=10)
 
     sp = sub.add_parser("member", help="sampled real-part membership check")
@@ -444,7 +444,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--draws", type=_nonneg_int, default=50)
     sp.add_argument("--grid-n", dest="grid_n", type=int, default=21)
     sp.add_argument("--mode", choices=MODES, default="paper")
-    sp.add_argument("--seed", type=int, default=1729)
+    sp.add_argument("--seed", type=_nonneg_int, default=1729)
     sp.add_argument("--tol", type=_not_nan, default=1e-9)
     sp.add_argument("--p-min", dest="p_min", type=_not_nan, default=0.1)
     sp.add_argument("--theta-min", dest="theta_min", type=_not_nan, default=2.0)
@@ -483,8 +483,10 @@ def main(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     if ns.config is not None:
         try:
-            # a key some subcommand takes is a valid default for all of them
-            keys = {a.dest for sp in subparsers.values() for a in sp._actions}
+            # a key some subcommand takes is a valid default for all of them;
+            # -h's dest "help" (default SUPPRESS) sets nothing, so it is no key
+            keys = {a.dest for sp in subparsers.values() for a in sp._actions
+                    if a.default is not argparse.SUPPRESS}
             config = _load_config(ns.config, keys)
         except (OSError, ValueError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)

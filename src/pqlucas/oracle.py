@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bounds as bnd
-from .bounds import BoundInputs, DegenerateDenominatorError
+from .bounds import BoundInputs
 from .bioperator import ClassParams
 
 __all__ = [
@@ -60,6 +60,9 @@ MODES = ("paper", "schwarz")
 # mmap threshold, so blocks reuse heap memory instead of mapping and
 # faulting in fresh pages on every call.
 _BLOCK_POINTS = 16_000
+
+# Tries (six draws each) random_inputs makes before it gives up on its count.
+_MAX_TRIES = 100_000
 
 
 class SchwarzSample(NamedTuple):
@@ -182,7 +185,7 @@ def sweep_max(
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
     if inputs.theta_zero:
-        raise DegenerateDenominatorError("sweep degenerate: theta = 0")
+        raise ValueError("sweep degenerate: theta = 0")
 
     r1_vals, axis = _box_axes(grid_n, mode)
     rows = max(1, _BLOCK_POINTS // (grid_n * grid_n))
@@ -246,18 +249,19 @@ def random_inputs(
     *,
     p_min: float = 0.1,
     theta_min: float = 2.0,
-    max_tries: int = 100_000,
 ) -> list[BoundInputs]:
     """Draw nondegenerate evaluation points for verification sweeps.
 
     Parameters come from :func:`draw_params`; ``p, q`` are uniform over
     ``[-2,2]`` and ``upsilon`` over ``[-1,3]``;
     draws with ``|p| < p_min`` or ``|theta| < theta_min`` are rejected so
-    that every returned point is safely away from the degenerate set.  The
-    sequence is fully determined by the generator state.
+    that every returned point is safely away from the degenerate set; after
+    ``_MAX_TRIES`` tries without ``count`` accepted points it raises
+    ``RuntimeError``.  The sequence is fully determined by the generator
+    state.
     """
     out: list[BoundInputs] = []
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         if len(out) >= count:
             break
         params = draw_params(rng)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from pqlucas.bioperator import (
     ClassParams,
     DiskGrid,
+    _operator_series,
     apply_operator,
     apply_operator_inverse_side,
     check_membership_realpart,
@@ -116,10 +117,6 @@ class TestOperatorSeries:
         # (lam, mu, delta) = (1, 2, 1): c1 = 2 + 1 + 2 * (4/3) = 17/3
         out = apply_operator(ClassParams(1.0, 2.0, 1.0), FunctionSpec((0.1, 0.05)))
         assert abs(out.coefficient(1) - (17.0 / 3.0) * 0.1) <= 1e-10
-
-    def test_order_guard(self):
-        with pytest.raises(ValueError, match="needs order >= 2"):
-            apply_operator(ClassParams(1.0, 1.0, 0.0), FunctionSpec((0.5,)), order=1)
 
     def test_delta_zero_drops_second_derivative_term(self):
         # at delta = 0 the output is exactly the two-term combination,
@@ -241,7 +238,7 @@ class TestIdentityExtraction:
     def test_report_carries_direct_series(self):
         params, f = ClassParams(2.5, 1.7, 1.2), FunctionSpec((0.37, -0.21))
         report = extract_coefficient_identities(params, f)
-        assert report.direct == apply_operator(params, f, order=2)
+        assert report.direct == apply_operator(params, f)
 
     def test_max_residual_is_nan_when_a_residual_is(self):
         # a2^2 overflows in the pipeline's [z^2]; Python's max would skip the NaN
@@ -343,12 +340,12 @@ class TestMembership:
 
     def test_operator_mode_matches_series_on_axis(self):
         # Cross-check the vectorized evaluation against the series pipeline
-        # at a real point, where truncation error is the only gap.
+        # through order 8 at a real point, where truncation error is the only gap.
         params = ClassParams(2.0, 1.5, 0.4)
         f = FunctionSpec((0.1, 0.05))
         grid = DiskGrid(r_max=0.2, n_radii=1, n_angles=1)  # single point z = 0.2
         report = check_membership_realpart(params, f, grid, mode="operator")
-        expansion = apply_operator(params, f, order=8)
+        expansion = _operator_series(params, f.to_series(9))
         approx = sum(c * 0.2**k for k, c in enumerate(expansion.coeffs))
         assert abs(report.min_real_part - approx.real) <= 1e-6
 

@@ -526,20 +526,10 @@ class TestPresets:
     def test_pins(self):
         assert preset("bistarlike") == ClassParams(1.0, 0.0, 0.0)
         assert preset("srivastava") == ClassParams(1.0, 1.0, 0.0)
-        assert preset("caglar", lam=2.0, mu=0.5) == ClassParams(2.0, 0.5, 0.0)
-        assert preset("mu1", lam=1.5, delta=0.3) == ClassParams(1.5, 1.0, 0.3)
-
-    def test_alpha_passes_through(self):
-        assert preset("srivastava", alpha=0.5).alpha == 0.5
+        # unpinned parameters are lam = mu = 1, delta = 0
+        assert preset("caglar") == ClassParams(1.0, 1.0, 0.0)
+        assert preset("mu1") == ClassParams(1.0, 1.0, 0.0)
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError, match="unknown preset tag"):
             preset("starlike")
-
-    def test_pinned_override_rejected(self):
-        with pytest.raises(ValueError, match="pins"):
-            preset("bistarlike", mu=1.0)
-
-    def test_unknown_override_rejected(self):
-        with pytest.raises(ValueError, match="unknown parameter overrides"):
-            preset("caglar", gamma=1.0)

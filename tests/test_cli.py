@@ -569,13 +569,23 @@ class TestUsageErrors:
             (["verify", "--draws", "abc"], "verify",
              "argument --draws: invalid int value: 'abc'"),
             (["member", "--radii", "x"], "member", "argument --radii: invalid int value: 'x'"),
+            # numpy's "expected non-negative integer" named no flag
+            (["verify", "--seed", "-1"], "verify", "argument --seed: value must be >= 0"),
+            (["operator", "--seed", "-1"], "operator", "argument --seed: value must be >= 0"),
+            (["--config", "{seed}", "verify"], "verify", "argument --seed: value must be >= 0"),
+            (["verify", "--seed", "abc"], "verify", "argument --seed: invalid int value: 'abc'"),
+            # -h's dest is no config key: help=1 used to run and set nothing
+            (["--config", "{help}", "lucas"], None,
+             "cannot read config: {help}:1: unknown key 'help'"),
         ],
     )
     def test_exact_stderr(self, capsys, tmp_path, argv, command, message):
-        files = {name: tmp_path / f"{name}.cfg" for name in ("bad", "zero", "typo")}
+        files = {name: tmp_path / f"{name}.cfg" for name in ("bad", "zero", "typo", "seed", "help")}
         files["bad"].write_text("just a line without equals\n")
         files["zero"].write_text("draws=0\n")
         files["typo"].write_text("grid-n=3\ndrwas=2\n")
+        files["seed"].write_text("seed=-3\n")
+        files["help"].write_text("help=1\n")
         argv = [arg.format(**files) for arg in argv]
         code, out, err = run_exit(capsys, argv)
         assert (code, out) == (EXIT_USAGE, "")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pqlucas import oracle
-from pqlucas.bounds import BoundInputs, DegenerateDenominatorError, preset
+from pqlucas.bounds import BoundInputs, preset
 from pqlucas.oracle import (
     FUNCTIONALS,
     MODES,
@@ -125,7 +125,7 @@ class TestSweepMax:
             sweep_max(BISTAR_11, "abs_a2", mode="disk")
         with pytest.raises(ValueError, match="grid_n must be >= 2"):
             sweep_max(BISTAR_11, "abs_a2", grid_n=1)
-        with pytest.raises(DegenerateDenominatorError, match="sweep degenerate"):
+        with pytest.raises(ValueError, match="sweep degenerate"):
             sweep_max(BoundInputs(preset("bistarlike"), 1.0, 0.0), "abs_a2")
 
     def test_as_dict_shape(self):
@@ -296,6 +296,13 @@ class TestRandomInputs:
             assert abs(inputs.theta) >= 2.0
             assert -1.0 <= inputs.upsilon <= 3.0
 
-    def test_impossible_rejection_raises(self):
+    def test_impossible_rejection_raises(self, monkeypatch):
+        # gives up after exactly _MAX_TRIES tries of 6 draws each (3 params,
+        # p, q, upsilon), every one of them rejected since |p| <= 2 < p_min
+        monkeypatch.setattr(oracle, "_MAX_TRIES", 50)
+        rng = np.random.default_rng(1)
         with pytest.raises(RuntimeError, match="did not converge"):
-            random_inputs(np.random.default_rng(1), 1, p_min=3.0, max_tries=50)
+            random_inputs(rng, 1, p_min=3.0)
+        reference = np.random.default_rng(1)
+        reference.random(300)
+        assert rng.random() == reference.random()

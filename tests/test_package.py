@@ -46,7 +46,6 @@ def test_all_is_the_documented_list():
         "BoundArrays",
         "BoundInputs",
         "BoundReport",
-        "DegenerateDenominatorError",
         "UNBOUNDED",
         "bound_a2",
         "bound_a3",
