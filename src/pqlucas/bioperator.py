@@ -49,15 +49,16 @@ _DENOMINATOR_TOL = 1e-12
 class ClassParams:
     """Operator parameters ``(lam, mu, delta)`` plus the order bound ``alpha``.
 
-    Validation mirrors the definition of the function class: ``lam >= 1``,
+    Each field defaults to ``lam = mu = 1``, ``delta = alpha = 0``, where the
+    operator is ``f'``.  Validation mirrors the function class: ``lam >= 1``,
     ``mu >= 0``, ``delta >= 0`` and ``0 <= alpha < 1``.  Construction then
     sets ``xi``, ``c1``, ``c2`` and ``mass`` from :func:`multipliers`; under
     those ranges ``c1`` and ``c2`` are automatically >= 1.
     """
 
-    lam: float
-    mu: float
-    delta: float
+    lam: float = 1.0
+    mu: float = 1.0
+    delta: float = 0.0
     alpha: float = 0.0
     xi: float = field(init=False, repr=False, compare=False)
     c1: float = field(init=False, repr=False, compare=False)

@@ -308,9 +308,9 @@ def preset(name: str) -> ClassParams:
 
     ``caglar`` pins ``delta = 0``; ``srivastava`` pins ``(lam, mu, delta) =
     (1, 1, 0)``; ``bistarlike`` pins ``(1, 0, 0)``; ``mu1`` pins ``mu = 1``.
-    Unpinned parameters are ``lam = mu = 1``, ``delta = 0``; ``alpha`` is 0.
-    An unknown tag is an error.
+    Unpinned parameters keep the :class:`ClassParams` defaults.  An unknown
+    tag is an error.
     """
     if name not in PRESET_PINS:
         raise ValueError(f"unknown preset tag: {name!r}")
-    return ClassParams(**{"lam": 1.0, "mu": 1.0, "delta": 0.0, **PRESET_PINS[name]})
+    return ClassParams(**PRESET_PINS[name])

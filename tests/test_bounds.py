@@ -12,6 +12,7 @@ from pqlucas.lucas import PolyPair, lucas_sequence
 from pqlucas.bounds import (
     BOUNDARY_TOL,
     FLAG_SETS,
+    PRESET_PINS,
     REGIMES,
     THETA_TOL,
     BoundInputs,
@@ -529,6 +530,10 @@ class TestPresets:
         # unpinned parameters are lam = mu = 1, delta = 0
         assert preset("caglar") == ClassParams(1.0, 1.0, 0.0)
         assert preset("mu1") == ClassParams(1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("tag", list(PRESET_PINS))
+    def test_preset_is_its_pins_over_the_defaults(self, tag):
+        assert preset(tag) == ClassParams(**PRESET_PINS[tag])
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError, match="unknown preset tag"):

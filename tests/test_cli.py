@@ -122,7 +122,22 @@ class TestOperator:
             ["operator", "--lambda", "1.7", "--mu", "0.9", "--delta", "0.3", "--tol", "1e-30"],
         )
         assert code == EXIT_VERIFY_FAILED
-        assert json.loads(out)["pass"] is False
+        payload = json.loads(out)
+        assert payload["pass"] is False
+        # the largest term is about 1.59, so the tolerance scales by it
+        assert 1.0 < max(map(abs, payload["closed_forms"])) < 2.0
+        assert payload["max_residual"] == 2.220446049250313e-16
+
+    @pytest.mark.parametrize("extra", [[], ["--a2", "0"]])
+    def test_tolerance_is_relative_to_the_terms(self, capsys, extra):
+        # the (1 - lam) and lam terms of a 1e160 lambda cancel to a residual
+        # under one ulp of them; it is printed as is, and the row passes
+        code, out, _ = run(capsys, ["operator", "--lambda", "1e160", *extra])
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["pass"] is True
+        assert payload["max_residual"] == 7.804371375789981e+143
+        assert payload["max_residual"] <= 1e-9 * max(map(abs, payload["closed_forms"]))
 
     def test_overflowing_inverse_coefficient_is_not_nan(self, capsys):
         # [w^2] D[f^-1] is about -3e250.  Full Horner passes of the series
@@ -275,6 +290,14 @@ class TestBoundsTable:
         payload = json.loads(out)
         assert set(payload) == {"rows"}
         assert set(payload["rows"][0]) == set(TABLE_COLUMNS)
+
+    def test_config_sets_unpinned_axis(self, capsys, tmp_path):
+        cfg = tmp_path / "lam.cfg"
+        cfg.write_text("lam=2\n")
+        by_config = run(capsys, ["--config", str(cfg), "bounds", "--preset", "caglar"])
+        by_flag = run(capsys, ["bounds", "--lambda", "2", "--preset", "caglar"])
+        assert by_config == by_flag
+        assert by_flag[0] == EXIT_OK and by_flag[1].splitlines()[1].startswith("2.0,1.0,0.0,")
 
     def test_preset_pin_conflict(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -475,16 +498,16 @@ class TestVerify:
             assert stats["max_ratio"] <= 1.0 + 1e-9
 
     def test_zero_draws_rejected(self, capsys):
-        code, _, err = run(capsys, ["verify", "--draws", "0"])
+        code, _, err = run_exit(capsys, ["verify", "--draws", "0"])
         assert code == EXIT_USAGE
-        assert "--draws >= 1" in err
+        assert err.endswith("error: argument --draws: value must be >= 1\n")
 
     @pytest.mark.parametrize("grid_n", ["1", "0", "-3"])
     def test_small_grid_rejected(self, capsys, grid_n):
-        code, out, err = run(capsys, ["verify", "--draws", "2", f"--grid-n={grid_n}"])
+        code, out, err = run_exit(capsys, ["verify", "--draws", "2", f"--grid-n={grid_n}"])
         assert code == EXIT_USAGE
         assert out == ""
-        assert "--grid-n >= 2" in err
+        assert err.endswith("error: argument --grid-n: value must be >= 2\n")
 
     def test_schwarz_mode(self, capsys):
         code, out, _ = run(
@@ -524,7 +547,7 @@ class TestUsageErrors:
             (["member", "--coeffs", "1e200,1e200", "--mu", "3"], None,
              "member values must be finite: coefficients or parameters are too large"),
             (["member", "--r-max", "1.5"], None, "r_max must lie in (0, 1)"),
-            (["member", "--radii", "0"], None, "grid resolutions must be >= 1"),
+            (["member", "--radii", "0"], "member", "argument --radii: value must be >= 1"),
             (["member", "--alpha", "1"], None, "alpha must lie in [0, 1)"),
             (["bounds", "--preset", "caglar", "--delta", "1"], "bounds",
              "--preset caglar pins --delta"),
@@ -544,14 +567,14 @@ class TestUsageErrors:
              "argument --upsilon: range span must be finite"),
             (["fekete", "--lambda", "1e160"], "fekete",
              "theta must be finite: lambda, mu or delta is too large"),
-            (["verify", "--draws", "0"], None, "verify needs --draws >= 1"),
-            (["verify", "--grid-n", "1"], None, "verify needs --grid-n >= 2"),
+            (["verify", "--draws", "0"], "verify", "argument --draws: value must be >= 1"),
+            (["verify", "--grid-n", "1"], "verify", "argument --grid-n: value must be >= 2"),
             (["verify", "--mode", "nope"], "verify",
              "argument --mode: invalid choice: 'nope' (choose from 'paper', 'schwarz')"),
             (["--config", "/no/such", "lucas"], None,
              "cannot read config: [Errno 2] No such file or directory: '/no/such'"),
             (["--config", "{bad}", "lucas"], None, "cannot read config: {bad}:1: expected key=value"),
-            (["--config", "{zero}", "verify"], None, "verify needs --draws >= 1"),
+            (["--config", "{zero}", "verify"], "verify", "argument --draws: value must be >= 1"),
             (["--config"], "", "argument --config: expected one argument"),
             ([], "", "the following arguments are required: command"),
             # a one-step range still names its stop, which must be finite too
@@ -577,15 +600,27 @@ class TestUsageErrors:
             # -h's dest is no config key: help=1 used to run and set nothing
             (["--config", "{help}", "lucas"], None,
              "cannot read config: {help}:1: unknown key 'help'"),
+            # a pinned axis set in a config file is a conflict, as on the command line
+            (["--config", "{lam}", "bounds", "--preset", "srivastava"], "bounds",
+             "--preset srivastava pins --lambda"),
+            (["--config", "{delta}", "fekete", "--preset", "caglar"], "fekete",
+             "--preset caglar pins --delta"),
+            # an empty residual table used to pass
+            (["operator", "--seed", "1", "--draws", "0"], "operator",
+             "argument --draws: value must be >= 1"),
+            (["member", "--angles", "0"], "member", "argument --angles: value must be >= 1"),
         ],
     )
     def test_exact_stderr(self, capsys, tmp_path, argv, command, message):
-        files = {name: tmp_path / f"{name}.cfg" for name in ("bad", "zero", "typo", "seed", "help")}
+        names = ("bad", "zero", "typo", "seed", "help", "lam", "delta")
+        files = {name: tmp_path / f"{name}.cfg" for name in names}
         files["bad"].write_text("just a line without equals\n")
         files["zero"].write_text("draws=0\n")
         files["typo"].write_text("grid-n=3\ndrwas=2\n")
         files["seed"].write_text("seed=-3\n")
         files["help"].write_text("help=1\n")
+        files["lam"].write_text("lam=2\n")
+        files["delta"].write_text("delta=1\n")
         argv = [arg.format(**files) for arg in argv]
         code, out, err = run_exit(capsys, argv)
         assert (code, out) == (EXIT_USAGE, "")
@@ -637,6 +672,13 @@ class TestUsageErrors:
 
 
 class TestConfigAndOutput:
+    @pytest.mark.parametrize("command", ["operator", "member"])
+    def test_param_defaults_are_class_params_defaults(self, command):
+        _, subparsers = build_parser()
+        defaults = {name: subparsers[command].get_default(name) for name in ("lam", "mu", "delta")}
+        expected = ClassParams()
+        assert defaults == {"lam": expected.lam, "mu": expected.mu, "delta": expected.delta}
+
     def test_config_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "defaults.cfg"
         # grid-n is a verify flag: a key any subcommand takes is valid for all
