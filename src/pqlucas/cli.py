@@ -10,10 +10,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 
 Ranges are written ``start:stop:steps`` (or a single number), polynomials
 as comma-separated ascending coefficients (``--p 0,1`` is ``p(x) = x``).
-``--config FILE`` supplies ``key=value`` defaults for any long flag (dest
-names, ``-`` and ``_`` interchangeable); explicit flags win, and a key no
-subcommand takes is a usage error.  A relative ``--out`` path resolves
-against ``$PQLUCAS_OUT_DIR`` when that is set.
+``--config FILE`` supplies ``key=value`` values for any long flag (dest names,
+``-`` and ``_`` interchangeable), read as the command's own flags ahead of the
+typed ones, which win; a key no subcommand takes is a usage error.  A relative
+``--out`` path resolves against ``$PQLUCAS_OUT_DIR`` when that is set.
 CSV uses RFC-4180-style CRLF rows; JSON tables are one object with a
 ``rows`` array.  Seeded commands are byte-reproducible.
 """
@@ -468,7 +468,7 @@ def _load_config(path: str, keys: set[str]) -> dict[str, str]:
 
 @functools.cache
 def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser of every run without ``--config``, built on first use."""
+    """The parser of every run, built on first use."""
     return build_parser()
 
 
@@ -485,13 +485,13 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        # A parser of its own, so the config defaults end with this run.
-        parser, subparsers = build_parser()
-        # String defaults are run through each flag's type converter by
-        # argparse itself, so raw text is the right currency here.
-        for sp in subparsers.values():
-            sp.set_defaults(**config)
-        ns = parser.parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        at = 0
+        while argv[at] != ns.command:  # only --config forms precede the command
+            at += 1 if "=" in argv[at] else 2
+        tokens = [f"{a.option_strings[0]}={config[a.dest]}"  # ahead of typed flags, which win
+                  for a in subparsers[ns.command]._actions if a.dest in config]
+        ns = parser.parse_args([*argv[:at + 1], *tokens, *argv[at + 1:]])
     # Looked up per call, not stored in the parser that outlives this call,
     # so a command function rebound on this module (a test double, a tracer)
     # is the one that runs.

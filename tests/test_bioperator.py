@@ -210,7 +210,7 @@ class TestClosedForms:
         [
             0.0,
             pytest.param(0.7, marks=pytest.mark.xfail(strict=True, reason=(
-                "ROADMAP item 2: c2 = mu + 2 lam + 2 xi delta, the operator's a3 weight "
+                "ROADMAP item 3: c2 = mu + 2 lam + 2 xi delta, the operator's a3 weight "
                 "is mu + 2 lam + 6 xi delta"))),
         ],
     )

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -17,8 +18,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pqlucas import bioperator, cli
-from pqlucas.bioperator import ClassParams
-from pqlucas.bounds import FLAG_SETS, REGIMES, BoundInputs
+from pqlucas.bioperator import MEMBERSHIP_MODES, ClassParams
+from pqlucas.bounds import FLAG_SETS, PRESET_PINS, REGIMES, BoundInputs
 from pqlucas.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -28,6 +29,7 @@ from pqlucas.cli import (
     build_parser,
     main,
 )
+from pqlucas.oracle import MODES
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -527,6 +529,49 @@ def run_exit(capsys, argv):
     return code, captured.out, captured.err
 
 
+# Flag values for every command, valid and invalid alike.  None makes a run
+# slow or large: integers and range steps stay small, and no --p-min or
+# --theta-min rejects every draw.
+_NUMBER = st.sampled_from(
+    ("0", "1", "0.5", "-0.0", "-1", "nan", "inf", "-inf", "1e300", "-1e300", "abc", "")
+)
+_POLY = st.lists(_NUMBER, min_size=1, max_size=3).map(",".join)
+_RANGE = _NUMBER | st.tuples(_NUMBER, _NUMBER, st.sampled_from(("1", "3", "0", "x"))).map(":".join)
+
+
+def _ints(*valid):
+    return st.sampled_from((*valid, "-1", "1e300", "abc", ""))
+
+
+def _choice(*names):
+    return st.sampled_from((*names, "nope"))
+
+
+_TABLE = {
+    "--lambda": _RANGE, "--mu": _RANGE, "--delta": _RANGE, "--x": _RANGE, "--upsilon": _RANGE,
+    "--p": _POLY, "--q": _POLY, "--preset": _choice(*PRESET_PINS), "--format": _choice("csv", "json"),
+}
+_PARAMS = {"--lambda": _NUMBER, "--mu": _NUMBER, "--delta": _NUMBER}
+_CLI_GRAMMAR = {
+    "lucas": {"--p": _POLY, "--q": _POLY, "--x": _NUMBER, "--k": _ints("0", "3", "12"),
+              "--tol": _NUMBER, "--format": _choice("csv", "json")},
+    "operator": {**_PARAMS, "--a2": _NUMBER, "--a3": _NUMBER, "--tol": _NUMBER,
+                 "--seed": _ints("0", "7"), "--draws": _ints("0", "1", "3")},
+    "member": {**_PARAMS, "--alpha": _NUMBER, "--coeffs": _POLY,
+               "--mode": _choice(*MEMBERSHIP_MODES), "--r-max": _NUMBER,
+               "--radii": _ints("0", "1", "4"), "--angles": _ints("0", "1", "8")},
+    "bounds": _TABLE,
+    "fekete": _TABLE,
+    "verify": {"--draws": _ints("0", "1", "2"), "--grid-n": _ints("1", "2", "5"),
+               "--mode": _choice(*MODES), "--seed": _ints("0", "1729"), "--tol": _NUMBER,
+               "--p-min": st.sampled_from(("0", "0.1", "1", "-inf", "nan", "abc", "")),
+               "--theta-min": st.sampled_from(("0", "2", "-1", "-inf", "nan", "abc", "")),
+               "--format": _choice("text", "json")},
+}
+# (command, flag) pairs: a config key may be any command's flag
+_CONFIG_FLAGS = [(command, flag) for command, flags in _CLI_GRAMMAR.items() for flag in flags]
+
+
 class TestUsageErrors:
     # The whole stderr of every exit-2 path.  ``None`` for the command means
     # the command prints one ``error:`` line; otherwise the named parser
@@ -609,10 +654,28 @@ class TestUsageErrors:
             (["operator", "--seed", "1", "--draws", "0"], "operator",
              "argument --draws: value must be >= 1"),
             (["member", "--angles", "0"], "member", "argument --angles: value must be >= 1"),
+            # a config value meets its flag's choices too: these used to end
+            # in a KeyError or TypeError traceback, or in the library's message
+            (["--config", "{preset}", "bounds"], "bounds",
+             "argument --preset: invalid choice: 'nope' "
+             "(choose from 'caglar', 'srivastava', 'bistarlike', 'mu1')"),
+            (["--config", "{xml}", "lucas"], "lucas",
+             "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"),
+            (["--config", "{text}", "fekete"], "fekete",
+             "argument --format: invalid choice: 'text' (choose from 'csv', 'json')"),
+            (["--config", "{mode}", "verify"], "verify",
+             "argument --mode: invalid choice: 'nope' (choose from 'paper', 'schwarz')"),
+            (["--config", "{schwarz}", "member"], "member",
+             "argument --mode: invalid choice: 'schwarz' "
+             "(choose from 'operator', 'starlike', 'convex')"),
+            # a config value is checked even where a typed flag overrides it
+            (["--config", "{x}", "bounds", "--x", "1"], "bounds",
+             "argument --x: malformed range 'abc': expected NUMBER or START:STOP:STEPS"),
         ],
     )
     def test_exact_stderr(self, capsys, tmp_path, argv, command, message):
-        names = ("bad", "zero", "typo", "seed", "help", "lam", "delta")
+        names = ("bad", "zero", "typo", "seed", "help", "lam", "delta",
+                 "preset", "xml", "text", "mode", "schwarz", "x")
         files = {name: tmp_path / f"{name}.cfg" for name in names}
         files["bad"].write_text("just a line without equals\n")
         files["zero"].write_text("draws=0\n")
@@ -621,6 +684,12 @@ class TestUsageErrors:
         files["help"].write_text("help=1\n")
         files["lam"].write_text("lam=2\n")
         files["delta"].write_text("delta=1\n")
+        files["preset"].write_text("preset=nope\n")
+        files["xml"].write_text("format=xml\n")
+        files["text"].write_text("format=text\n")  # a verify format, shared with fekete
+        files["mode"].write_text("mode=nope\n")
+        files["schwarz"].write_text("mode=schwarz\n")  # a verify mode, not a member one
+        files["x"].write_text("x=abc\n")
         argv = [arg.format(**files) for arg in argv]
         code, out, err = run_exit(capsys, argv)
         assert (code, out) == (EXIT_USAGE, "")
@@ -670,6 +739,33 @@ class TestUsageErrors:
         assert "Traceback" not in result.stderr
         assert sum("error:" in line for line in result.stderr.splitlines()) == 1
 
+    @settings(deadline=None, max_examples=80,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_never_a_traceback(self, capsys, tmp_path, data):
+        command = data.draw(st.sampled_from(sorted(_CLI_GRAMMAR)), label="command")
+        grammar = _CLI_GRAMMAR[command]
+        flags = data.draw(st.lists(st.sampled_from(sorted(grammar)), unique=True, max_size=4))
+        argv = [command, *(f"{flag}={data.draw(grammar[flag], label=flag)}" for flag in flags)]
+        if data.draw(st.booleans(), label="with --config"):
+            entries = data.draw(st.lists(st.sampled_from(_CONFIG_FLAGS), min_size=1, max_size=3,
+                                         unique_by=lambda entry: entry[1]), label="config keys")
+            cfg = tmp_path / "drawn.cfg"
+            cfg.write_text("".join(
+                f"{'lam' if flag == '--lambda' else flag[2:]}={data.draw(_CLI_GRAMMAR[c][flag])}\n"
+                for c, flag in entries
+            ))
+            argv = ["--config", str(cfg), *argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == EXIT_USAGE  # argparse's own exit
+            code = exc.code
+        out = capsys.readouterr().out
+        assert code in (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_USAGE, EXIT_IO)
+        if code == EXIT_OK:
+            assert not re.search(r"\bnan\b", out, re.IGNORECASE)
+
 
 class TestConfigAndOutput:
     @pytest.mark.parametrize("command", ["operator", "member"])
@@ -711,14 +807,17 @@ class TestConfigAndOutput:
         assert code == EXIT_OK
         assert out == plain
 
-    def test_parser_built_once(self, capsys, monkeypatch):
+    def test_parser_built_once(self, capsys, monkeypatch, tmp_path):
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text("k=3\n")
         built = []
         original = cli.build_parser
         monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or original())
         cli._shared_parser.cache_clear()
         try:
             for _ in range(3):
-                run(capsys, ["lucas", "--k", "2"])
+                assert run(capsys, ["lucas", "--k", "2"])[0] == EXIT_OK
+                assert run(capsys, ["--config", str(cfg), "lucas"])[0] == EXIT_OK
         finally:
             cli._shared_parser.cache_clear()
         assert len(built) == 1
@@ -744,6 +843,29 @@ class TestConfigAndOutput:
         code, out, _ = run(capsys, ["--config", str(first), "--config", str(last), "lucas"])
         assert code == EXIT_OK
         assert len(json.loads(out)["rows"]) == 2
+
+    def test_config_equals_form(self, capsys, tmp_path):
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text("k=1\nformat=json\n")
+        code, out, _ = run(capsys, [f"--config={cfg}", "lucas"])
+        assert code == EXIT_OK
+        assert len(json.loads(out)["rows"]) == 2
+
+    def test_config_file_named_like_a_command(self, capsys, tmp_path, monkeypatch):
+        # the file's name is the config value, not the command
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "lucas").write_text("format=json\n")
+        code, out, _ = run(capsys, ["--config", "lucas", "lucas", "--k", "1"])
+        assert code == EXIT_OK
+        assert len(json.loads(out)["rows"]) == 2
+
+    def test_key_the_command_does_not_take_is_unused(self, capsys, tmp_path):
+        # starlike is a member mode; bounds has no --mode, so it is never checked
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text("mode=starlike\n")
+        configured = run(capsys, ["--config", str(cfg), "bounds"])
+        assert configured == run(capsys, ["bounds"])
+        assert configured[0] == EXIT_OK
 
     def test_missing_config(self, capsys):
         code, _, err = run(capsys, ["--config", "/no/such/file.cfg", "lucas"])
