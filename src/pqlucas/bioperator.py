@@ -21,6 +21,7 @@ forms, plus a sampled real-part membership check on sub-disks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,8 +203,8 @@ class DiskGrid:
     def __post_init__(self) -> None:
         if not 0.0 < self.r_max < 1.0:
             raise ValueError("r_max must lie in (0, 1)")
-        if self.n_radii < 1 or self.n_angles < 1:
-            raise ValueError("grid resolutions must be >= 1")
+        if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (self.n_radii, self.n_angles)):
+            raise ValueError("grid resolutions must be integers >= 1")
 
     def points(self) -> np.ndarray:
         radii = self.r_max * np.arange(1, self.n_radii + 1) / self.n_radii
@@ -233,25 +234,29 @@ class MembershipReport:
     flagged: tuple[complex, ...] = ()
 
 
-def _radial_log(ratio: np.ndarray, grid: DiskGrid) -> np.ndarray:
-    """``log`` of ``ratio = f(z)/z`` on the grid, continued from ``z = 0``.
+def _ray_log(ratio: np.ndarray, grid: DiskGrid) -> tuple[np.ndarray, np.ndarray]:
+    """``log`` of ``ratio = f(z)/z`` continued from ``z = 0``, and its mask.
 
+    Each ray is flagged from its first point with ``|f/z| < _DENOMINATOR_TOL``
+    outwards: past a zero of ``f/z`` the continued branch is undetermined.
     The principal ``np.log`` jumps by ``2 pi i`` wherever ``f/z`` winds past
     the negative real axis.  Along each ray the argument is unwrapped from
     its value 0 at the origin, where ``f/z = 1``, and the whole turns are
     added only where they are nonzero, so a grid without winding keeps the
     principal values bit for bit.  The continuation is as good as the ray
     sampling: it reads every jump of more than ``pi`` between neighbouring
-    radii as a crossing of the cut.  Past a zero of ``f/z`` on a ray the
-    values are meaningless; the caller flags those points.
+    radii as a crossing of the cut.  Returns the logs at the unflagged
+    points, in grid order, and the mask of those points.
     """
+    rays = (np.abs(ratio) >= _DENOMINATOR_TOL).reshape(grid.n_radii, grid.n_angles)
+    valid = np.logical_and.accumulate(rays, axis=0).ravel()
     log_ratio = np.log(ratio)
     arg = log_ratio.imag.reshape(grid.n_radii, grid.n_angles)
     step = np.diff(arg, axis=0, prepend=0.0)
     turns = -np.cumsum(np.rint(step / (2.0 * np.pi)), axis=0).ravel()
     wound = turns != 0.0
     log_ratio[wound] += 2j * np.pi * turns[wound]
-    return log_ratio
+    return log_ratio[valid], valid
 
 
 def check_membership_realpart(
@@ -262,16 +267,16 @@ def check_membership_realpart(
 ) -> MembershipReport:
     """Check ``Re(expr) > alpha`` on the grid, for the mode's expression.
 
-    Modes: ``"operator"`` uses ``D[f](z)``, ``"starlike"`` uses
-    ``z f'(z)/f(z)``, ``"convex"`` uses ``1 + z f''(z)/f'(z)``.  The real
-    powers of ``f/z`` in ``D[f]`` take the branch continued from ``z = 0``
-    along each ray of the grid, not the principal one, and a ray is flagged
-    from its first zero of ``f/z`` outwards.
+    Modes and the denominator that flags a point: ``"operator"`` uses
+    ``D[f](z)`` and ``f/z``, ``"starlike"`` uses ``z f'(z)/f(z)`` and ``f``,
+    ``"convex"`` uses ``1 + z f''(z)/f'(z)`` and ``f'``.  The real powers of
+    ``f/z`` in ``D[f]`` take the branch continued from ``z = 0`` along each
+    ray of the grid, not the principal one, and a ray is flagged from its
+    first zero of ``f/z`` outwards (:func:`_ray_log`).
 
-    The minimum is an order-independent reduction, so any partition of the
-    grid yields the same report; ties pick the first point in (radius,
-    angle) order.  A real part that overflows to ``inf`` or ``nan`` at an
-    evaluated point raises ``ValueError``.
+    Ties in the minimum pick the first point in (radius, angle) order.  A
+    real part that overflows to ``inf`` or ``nan`` at an evaluated point
+    raises ``ValueError``.
     """
     if mode not in MEMBERSHIP_MODES:
         raise ValueError(f"unknown membership mode: {mode!r}")
@@ -281,31 +286,22 @@ def check_membership_realpart(
     d2 = tuple((k + 1) * (k + 2) * c for k, c in enumerate(coeffs[2:]))
 
     with np.errstate(all="ignore"):
-        fz = eval_poly(coeffs, z)
-        fpz = eval_poly(d1, z)
         if mode == "starlike":
-            denom = fz
+            fz = eval_poly(coeffs, z)
+            valid = np.abs(fz) >= _DENOMINATOR_TOL
+            zv = z[valid]
+            values = zv * eval_poly(d1, z)[valid] / fz[valid]
         elif mode == "convex":
-            denom = fpz
-        else:
-            denom = fz / z  # the ratio raised to real powers below
-        valid = np.abs(denom) >= _DENOMINATOR_TOL
-        if mode == "operator":
-            # Past a zero of f/z the branch continued along its ray is
-            # undetermined, so the rest of that ray is flagged as well.
-            rays = valid.reshape(grid.n_radii, grid.n_angles)
-            valid = np.logical_and.accumulate(rays, axis=0).ravel()
-        zv = z[valid]
-
-        if mode == "starlike":
-            values = zv * fpz[valid] / fz[valid]
-        elif mode == "convex":
+            fpz = eval_poly(d1, z)
+            valid = np.abs(fpz) >= _DENOMINATOR_TOL
+            zv = z[valid]
             values = 1.0 + zv * eval_poly(d2, zv) / fpz[valid]
         else:
-            log_ratio = _radial_log(denom, grid)[valid]
+            log_ratio, valid = _ray_log(eval_poly(coeffs, z) / z, grid)
+            zv = z[valid]
             values = (
                 (1.0 - params.lam) * np.exp(params.mu * log_ratio)
-                + params.lam * fpz[valid] * np.exp((params.mu - 1.0) * log_ratio)
+                + params.lam * eval_poly(d1, z)[valid] * np.exp((params.mu - 1.0) * log_ratio)
                 + params.xi * params.delta * zv * eval_poly(d2, zv)
             )
 

@@ -278,10 +278,25 @@ class TestDiskGrid:
         assert np.min(np.abs(pts)) > 0.0
         assert abs(np.max(np.abs(pts)) - 0.9) <= 1e-15
 
-    @pytest.mark.parametrize("kwargs", [{"r_max": 1.0}, {"r_max": 0.0}, {"n_radii": 0}, {"n_angles": 0}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"r_max": 1.0},
+            {"r_max": 0.0},
+            {"n_radii": 0},
+            {"n_angles": 0},
+            # a fractional count would sample radius 0.9 * 3 / 2.5 = 1.08
+            {"r_max": 0.9, "n_radii": 2.5, "n_angles": 4},
+            {"r_max": 0.9, "n_radii": 2, "n_angles": 4.0},
+        ],
+    )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             DiskGrid(**kwargs)
+
+    def test_numpy_integer_counts(self):
+        grid = DiskGrid(0.5, np.int64(2), np.int32(4))
+        assert grid.points().shape == (8,)
 
 
 class TestMembership:
@@ -329,6 +344,27 @@ class TestMembership:
         assert report.min_real_part == math.inf
         assert report.worst_point is None
         assert report.n_evaluated == 0
+
+    def test_convex_flagged_point_excluded(self):
+        # f = z - z^2 has f' = 1 - 2z, which vanishes at the grid point 0.5;
+        # 1 + z f''/f' = (1 - 4z)/(1 - 2z) is 0 at z = 0.25
+        params = ClassParams(1.0, 1.0, 0.0)
+        grid = DiskGrid(r_max=0.5, n_radii=2, n_angles=4)
+        report = check_membership_realpart(params, FunctionSpec((-1.0,)), grid, mode="convex")
+        assert report.n_evaluated == 7
+        assert report.flagged == (0.5 + 0j,)
+        assert report.min_real_part == 0.0
+        assert not report.passed
+
+    def test_operator_mode_every_ray_cut_fails(self):
+        # f/z = 1 - 2z vanishes at the only grid point, z = 0.5
+        params = ClassParams(1.0, 0.5, 0.0)
+        grid = DiskGrid(r_max=0.5, n_radii=1, n_angles=1)
+        report = check_membership_realpart(params, FunctionSpec((-2.0,)), grid, mode="operator")
+        assert report.n_evaluated == 0
+        assert not report.passed
+        assert report.min_real_part == math.inf
+        assert report.worst_point is None
 
     def test_operator_mode_derivative_case(self):
         # At (1, 1, 0) the operator is f'; f = z + 0.5 z^2 gives Re(1 + z)
@@ -403,3 +439,78 @@ class TestMembership:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown membership mode"):
             check_membership_realpart(ClassParams(1.0, 1.0, 0.0), FunctionSpec(()), mode="disk")
+
+
+def _boundary_min(real_part, r_max):
+    """Minimum of ``real_part`` on ``|z| = r_max``: 2^13 angles, then each of
+    the eight lowest local minima refined by four rounds of local sampling."""
+    step = 2.0 * np.pi / 2**13
+    t = step * np.arange(2**13)
+    vals = real_part(r_max * np.exp(1j * t))
+    local = np.flatnonzero((vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1)))
+    best = float(vals.min())
+    for i in local[np.argsort(vals[local])[:8]]:
+        centre, width = t[i], step
+        for _ in range(4):
+            tt = centre + np.linspace(-width, width, 65)
+            v = real_part(r_max * np.exp(1j * tt))
+            k = int(np.argmin(v))
+            best = min(best, float(v[k]))
+            centre, width = tt[k], width / 16.0
+    return best
+
+
+def _minimum_principle_corpus(seed=2718, per_mode=300):
+    """Seeded ``(mode, params, a, grid, denominator roots)`` over all three modes."""
+    rng = np.random.default_rng(seed)
+    for mode in ("operator", "starlike", "convex"):
+        for _ in range(per_mode):
+            scale = float(np.exp(rng.uniform(np.log(0.05), np.log(3.0))))
+            a = rng.uniform(-scale, scale, rng.integers(1, 6))
+            params = ClassParams(rng.uniform(1.0, 4.0), rng.uniform(0.0, 3.0), rng.uniform(0.0, 2.0))
+            grid = DiskGrid(float(rng.uniform(0.3, 0.95)), int(rng.integers(8, 25)), int(rng.integers(4, 41)))
+            # the denominator, ascending: f/z for operator and starlike, f' for convex
+            denom = np.concatenate(([1.0], a))
+            if mode == "convex":
+                denom = denom * np.arange(1, denom.size + 1)
+            yield mode, params, a, grid, np.roots(denom[::-1])
+
+
+def _real_part(mode, params, a, roots):
+    """The mode's ``Re(expr)`` at ``z`` from ``np.polyval`` and the roots alone."""
+    f = np.concatenate((a[::-1], [1.0, 0.0]))  # descending coefficients of f
+    fp, fpp = np.polyder(f), np.polyder(f, 2)
+    if mode == "starlike":
+        return lambda z: (z * np.polyval(fp, z) / np.polyval(f, z)).real
+    if mode == "convex":
+        return lambda z: (1.0 + z * np.polyval(fpp, z) / np.polyval(fp, z)).real
+    lam, mu, delta = params.lam, params.mu, params.delta
+    xi = (mu + 2.0 * lam) / (2.0 * lam + 1.0)
+
+    def operator(z):
+        # every root lies outside the disk, so this sum is the analytic log(f/z)
+        log_ratio = sum(np.log1p(-z / rho) for rho in roots)
+        value = (
+            (1.0 - lam) * np.exp(mu * log_ratio)
+            + lam * np.polyval(fp, z) * np.exp((mu - 1.0) * log_ratio)
+            + xi * delta * z * np.polyval(fpp, z)
+        )
+        return value.real
+
+    return operator
+
+
+def test_zero_free_minimum_sits_on_the_boundary():
+    # Where the mode's denominator has no zero in the closed disk, its
+    # expression is analytic there and the real part is harmonic, so no grid
+    # point can go below the minimum over the circle |z| = r_max.
+    checked = 0
+    for mode, params, a, grid, roots in _minimum_principle_corpus():
+        if roots.size and np.min(np.abs(roots)) <= 1.05 * grid.r_max:
+            continue
+        report = check_membership_realpart(params, FunctionSpec(tuple(a)), grid, mode=mode)
+        low = _boundary_min(_real_part(mode, params, a, roots), grid.r_max)
+        assert report.flagged == ()
+        assert report.min_real_part >= low - 1e-9 * max(1.0, abs(low)), (mode, params, a, grid)
+        checked += 1
+    assert checked >= 500
