@@ -37,7 +37,7 @@ report carries a flag saying which branch the variant would have picked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field, fields
 
 import numpy as np
 
@@ -145,6 +145,10 @@ class BoundArrays:
     a3_flags: np.ndarray
     fs_flags: np.ndarray
 
+    def row(self, i: int) -> BoundArrays:
+        """Point ``i`` of a result over one-dimensional inputs."""
+        return BoundArrays(*(getattr(self, f.name)[i] for f in fields(self)))
+
 
 def bound_arrays(lam, mu, delta, p, q, upsilon) -> BoundArrays:
     """Evaluate ``|a2|``, ``|a3|`` and Fekete-Szego bounds on broadcast arrays.
@@ -218,11 +222,11 @@ class BoundInputs:
     """A bound evaluation point: parameters plus ``p``, ``q`` and ``upsilon``.
 
     ``upsilon`` is the Fekete-Szego weight; the pure coefficient bounds
-    ignore it.  Construction makes the point's one :func:`bound_arrays`
-    call; ``theta``, ``theta_zero`` and the three bounds are all read from
-    it.  A point whose ``theta`` overflows is rejected like a non-finite
-    input, with a message naming the parameters when the overflow is
-    already in a factor of ``theta`` that depends on them alone.
+    ignore it.  ``theta``, ``theta_zero`` and the three bounds are read from
+    one :func:`bound_arrays` call: the point's own, or ``_row``, its row of a
+    block call.  A point whose ``theta`` overflows is rejected like a
+    non-finite input, with a message naming the parameters when the overflow
+    is already in a factor of ``theta`` that depends on them alone.
     """
 
     params: ClassParams
@@ -232,15 +236,17 @@ class BoundInputs:
     theta: float = field(init=False, compare=False, repr=False)
     theta_zero: bool = field(init=False, compare=False, repr=False)
     _arrays: BoundArrays = field(init=False, compare=False, repr=False)
+    _row: InitVar[BoundArrays | None] = field(default=None, kw_only=True)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _row: BoundArrays | None) -> None:
         for name in ("p", "q", "upsilon"):
             value = float(getattr(self, name))
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, value)
         params = self.params
-        arrays = bound_arrays(params.lam, params.mu, params.delta, self.p, self.q, self.upsilon)
+        arrays = _row or bound_arrays(params.lam, params.mu, params.delta,
+                                      self.p, self.q, self.upsilon)
         th = float(arrays.theta)
         if not math.isfinite(th):
             if not all(math.isfinite(v) for v in (params.mass, _pow(params.c1, 2))):

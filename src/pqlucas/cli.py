@@ -48,7 +48,7 @@ from .bounds import (
     bound_arrays,
 )
 from .lucas import PolyPair, generating_series, lucas_sequence
-from .oracle import FUNCTIONALS, MODES, draw_params, random_inputs, verify_bounds
+from .oracle import FUNCTIONALS, MODES, draw_rows, random_inputs, verify_bounds
 from .series import FunctionSpec, eval_poly, to_json_number
 
 EXIT_OK = 0
@@ -213,18 +213,14 @@ def _identity_payload(params: ClassParams, f: FunctionSpec, tol: float) -> dict:
 
 def cmd_operator(ns: argparse.Namespace) -> int:
     if ns.seed is None:
-        params = ClassParams(ns.lam, ns.mu, ns.delta)
-        payload = _identity_payload(params, FunctionSpec((ns.a2, ns.a3)), ns.tol)
-        all_pass = payload["pass"]
+        draws = [(ns.lam, ns.mu, ns.delta, ns.a2, ns.a3)]
     else:
         rng = np.random.default_rng(ns.seed)
-        rows = []
-        for _ in range(ns.draws):
-            params = draw_params(rng)
-            f = FunctionSpec((rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)))
-            rows.append(_identity_payload(params, f, ns.tol))
-        all_pass = all(r["pass"] for r in rows)
-        payload = {"seed": ns.seed, "rows": rows, "all_pass": all_pass}
+        draws = draw_rows(rng, ns.draws, (-1.0, 1.0), (-1.0, 1.0)).tolist()
+    rows = [_identity_payload(ClassParams(lam, mu, delta), FunctionSpec((a2, a3)), ns.tol)
+            for lam, mu, delta, a2, a3 in draws]
+    all_pass = all(r["pass"] for r in rows)
+    payload = rows[0] if ns.seed is None else {"seed": ns.seed, "rows": rows, "all_pass": all_pass}
     return _emit(_json_text(payload), ns.out, all_pass)
 
 

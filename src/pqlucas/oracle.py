@@ -237,10 +237,11 @@ def verify_bounds(
     return VerificationReport(inputs, reports, passes)
 
 
-def draw_params(rng: np.random.Generator) -> ClassParams:
-    """Operator parameters uniform over ``lam in [1,3]``, ``mu in [0,3]``
-    and ``delta in [0,2]``, drawn in that order."""
-    return ClassParams(rng.uniform(1.0, 3.0), rng.uniform(0.0, 3.0), rng.uniform(0.0, 2.0))
+def draw_rows(rng: np.random.Generator, n: int, *extra: tuple[float, float]) -> np.ndarray:
+    """``n`` rows of one ``uniform`` call: ``lam`` in ``[1,3]``, ``mu`` in ``[0,3]``,
+    ``delta`` in ``[0,2]``, then a column per ``(low, high)`` box in ``extra``."""
+    low, high = zip((1.0, 3.0), (0.0, 3.0), (0.0, 2.0), *extra)
+    return rng.uniform(low, high, size=(n, len(low)))
 
 
 def random_inputs(
@@ -252,28 +253,25 @@ def random_inputs(
 ) -> list[BoundInputs]:
     """Draw nondegenerate evaluation points for verification sweeps.
 
-    Parameters come from :func:`draw_params`; ``p, q`` are uniform over
-    ``[-2,2]`` and ``upsilon`` over ``[-1,3]``;
-    draws with ``|p| < p_min`` or ``|theta| < theta_min`` are rejected so
-    that every returned point is safely away from the degenerate set; after
-    ``_MAX_TRIES`` tries without ``count`` accepted points it raises
-    ``RuntimeError``.  The sequence is fully determined by the generator
-    state.
+    Rows come from :func:`draw_rows`, ``p, q`` uniform over ``[-2,2]`` and
+    ``upsilon`` over ``[-1,3]``, in blocks as long as the count still missing,
+    with one ``bound_arrays`` call per block; rows with ``|p| < p_min`` or
+    ``|theta| < theta_min`` are rejected so that every returned point is
+    safely away from the degenerate set; after ``_MAX_TRIES`` tries without
+    ``count`` accepted points it raises ``RuntimeError``.  The sequence is
+    fully determined by the generator state.
     """
     out: list[BoundInputs] = []
-    for _ in range(_MAX_TRIES):
-        if len(out) >= count:
-            break
-        params = draw_params(rng)
-        p = rng.uniform(-2.0, 2.0)
-        q = rng.uniform(-2.0, 2.0)
-        upsilon = rng.uniform(-1.0, 3.0)
-        if abs(p) < p_min:
-            continue
-        inputs = BoundInputs(params, p, q, upsilon)
-        if abs(inputs.theta) < theta_min:
-            continue
-        out.append(inputs)
+    tries = 0
+    while len(out) < count and tries < _MAX_TRIES:
+        block = draw_rows(rng, min(count - len(out), _MAX_TRIES - tries),
+                          (-2.0, 2.0), (-2.0, 2.0), (-1.0, 3.0))
+        tries += len(block)
+        arrays = bnd.bound_arrays(*block.T)
+        for i, (lam, mu, delta, p, q, upsilon) in enumerate(block.tolist()):
+            if abs(p) < p_min or abs(arrays.theta[i]) < theta_min:
+                continue
+            out.append(BoundInputs(ClassParams(lam, mu, delta), p, q, upsilon, _row=arrays.row(i)))
     if len(out) < count:
         raise RuntimeError("rejection sampling did not converge")
     return out

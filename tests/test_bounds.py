@@ -389,6 +389,67 @@ class TestArrayCore:
             BoundInputs(ClassParams(1e160, 0.0, 0.0), 1.0, 1.0)
 
 
+class TestRowPath:
+    """A point built from its row of a block call against its own call."""
+
+    POINTS = [
+        (BISTAR, 1.0, 1.0, 3.0),  # theta = -4
+        (BISTAR, 0.0, 1.0, 2.0),  # p = 0
+        (BISTAR, 0.0, 0.0, 1.0),  # p = 0 and theta = 0 at upsilon = 1
+        (BISTAR, 1.5, 0.0, 1.0),  # theta = 0 at upsilon = 1: the |p|/c2 limit
+        (BISTAR, 1.5, 0.0, 2.0),  # theta = 0 away from upsilon = 1: unbounded
+        (BISTAR, -0.5, 1.0, 1.0),
+        (ClassParams(1.7, 0.4, 0.9), 1.3, -0.6, 1.0),
+        (ClassParams(2.5, 2.0, 0.3), -1.9, 1.2, -0.7),
+        (ClassParams(1.2, 0.0, 1.5), 0.25, 0.8, 2.6),
+    ]
+
+    @staticmethod
+    def _block(points):
+        return bound_arrays(*(np.array(column) for column in zip(*(
+            (c.lam, c.mu, c.delta, p, q, u) for c, p, q, u in points
+        ))))
+
+    def test_rows_match_own_call_bit_for_bit(self):
+        block = self._block(self.POINTS)
+        for i, (params, p, q, u) in enumerate(self.POINTS):
+            got = BoundInputs(params, p, q, u, _row=block.row(i))
+            want = BoundInputs(params, p, q, u)
+            assert (got, repr(got), hash(got)) == (want, repr(want), hash(want))
+            assert (repr(got.theta), got.theta_zero) == (repr(want.theta), want.theta_zero)
+            for view in (bound_a2, bound_a3, fekete_szego_bound):
+                a, b = view(got), view(want)
+                assert _key(a.value, a.regime, a.flags) == _key(b.value, b.regime, b.flags)
+        assert [BoundInputs(*point, _row=block.row(i)).theta_zero
+                for i, point in enumerate(self.POINTS)][:5] == [False, False, True, True, True]
+
+    def test_row_makes_no_core_call(self, monkeypatch):
+        from pqlucas import bounds
+
+        block = self._block(self.POINTS)
+        monkeypatch.setattr(bounds, "bound_arrays", None)
+        assert BoundInputs(*self.POINTS[0], _row=block.row(0)).theta == -4.0
+
+    @pytest.mark.parametrize(
+        "params, p, message",
+        [
+            (ClassParams(1e160, 0.0, 0.0), 1.0, "lambda, mu or delta is too large"),
+            (BISTAR, 1e200, "p(x) or q(x) is too large"),
+        ],
+    )
+    def test_overflowing_row_raises_the_same_message(self, params, p, message):
+        block = self._block([self.POINTS[0], (params, p, 1.0, 1.0)])
+        for kwargs in ({}, {"_row": block.row(1)}):
+            with pytest.raises(ValueError) as raised:
+                BoundInputs(params, p, 1.0, 1.0, **kwargs)
+            assert str(raised.value) == f"theta must be finite: {message}"
+
+    def test_row_still_checks_its_inputs(self):
+        block = self._block(self.POINTS[:1])
+        with pytest.raises(ValueError, match="upsilon must be finite"):
+            BoundInputs(BISTAR, 1.0, 1.0, math.nan, _row=block.row(0))
+
+
 # bound_arrays' decisions against exact rational arithmetic on the same
 # float inputs.  A decision whose exact margin to its threshold lies inside
 # the band where float rounding may decide it is not compared.

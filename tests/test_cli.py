@@ -30,6 +30,7 @@ from pqlucas.cli import (
     main,
 )
 from pqlucas.oracle import MODES
+from pqlucas.series import FunctionSpec
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -168,6 +169,21 @@ class TestOperator:
         code, out, err = run(capsys, ["operator", "--seed", "7", "--draws", "20"])
         assert (code, err) == (EXIT_OK, "")
         assert out == (GOLDEN / "operator_seed7.json").read_bytes().decode("utf-8")
+
+    @pytest.mark.parametrize("draws", [1, 10, 30])
+    def test_seeded_rows_follow_scalar_draws(self, capsys, draws):
+        # each row draws lam, mu, delta, a2 and a3 in turn from the seed's generator
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            rows = []
+            for _ in range(draws):
+                params = ClassParams(rng.uniform(1.0, 3.0), rng.uniform(0.0, 3.0),
+                                     rng.uniform(0.0, 2.0))
+                f = FunctionSpec((rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)))
+                rows.append(cli._identity_payload(params, f, 1e-9))
+            want = {"seed": seed, "rows": rows, "all_pass": all(r["pass"] for r in rows)}
+            code, out, err = run(capsys, ["operator", "--seed", str(seed), "--draws", str(draws)])
+            assert (code, out, err) == (EXIT_OK, cli._json_text(want), "")
 
     def test_two_operator_expansions_per_row(self, capsys, monkeypatch):
         # D[f] and D[f^-1]; the printed series is the identity report's own D[f]
@@ -452,6 +468,9 @@ class TestVerify:
             (["verify", "--draws", "8", "--grid-n", "41", "--seed", "1729"], "verify_paper.txt"),
             (["verify", "--mode", "schwarz", "--format", "json", "--draws", "8",
               "--grid-n", "41", "--seed", "1729"], "verify_schwarz.json"),
+            # rejection-heavy: 40 points take blocks of 40, 8 and 4 rows
+            (["verify", "--draws", "40", "--grid-n", "3", "--theta-min", "30"],
+             "verify_theta30.txt"),
         ],
     )
     def test_output_bytes(self, capsys, argv, golden):
@@ -720,11 +739,14 @@ class TestUsageErrors:
             ["verify", "--grid-n", "10000000", "--draws", "1"],
             ["verify", "--grid-n", "10000000", "--draws", "1", "--mode", "schwarz"],
             ["bounds", "--x=0:1:100000000000000"],
+            # its draw block of 5 x 10^11 doubles is allocated up front
+            ["operator", "--seed", "1", "--draws", "100000000000"],
         ],
     )
     def test_out_of_memory_is_usage_error(self, argv):
-        # Each call needs one array larger than any user address space (728
-        # TiB or 10^14 doubles); the child's 2 GiB cap makes it fail at once.
+        # Each call needs one array far larger than any user address space
+        # (3.6 to 728 TiB, or 5 x 10^11 to 10^14 doubles); the child's 2 GiB
+        # cap makes it fail at once.
         def cap_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 

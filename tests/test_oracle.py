@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pqlucas import oracle
-from pqlucas.bounds import BoundInputs, preset
+from pqlucas import bounds, oracle
+from pqlucas.bioperator import ClassParams
+from pqlucas.bounds import BoundInputs, bound_a2, bound_a3, fekete_szego_bound, preset
 from pqlucas.oracle import (
     FUNCTIONALS,
     MODES,
@@ -62,6 +63,27 @@ def corner_max(inputs, functional, mode):
             for s2 in (-cap, cap):
                 best = max(best, float(abs(value_at(inputs, r1, r2, s2))))
     return best
+
+
+def scalar_random_inputs(rng, count, *, p_min=0.1, theta_min=2.0):
+    """random_inputs as one scalar loop: six draws and one point per try."""
+    out = []
+    for _ in range(oracle._MAX_TRIES):
+        if len(out) >= count:
+            break
+        params = ClassParams(rng.uniform(1.0, 3.0), rng.uniform(0.0, 3.0), rng.uniform(0.0, 2.0))
+        p = rng.uniform(-2.0, 2.0)
+        q = rng.uniform(-2.0, 2.0)
+        upsilon = rng.uniform(-1.0, 3.0)
+        if abs(p) < p_min:
+            continue
+        inputs = BoundInputs(params, p, q, upsilon)
+        if abs(inputs.theta) < theta_min:
+            continue
+        out.append(inputs)
+    if len(out) < count:
+        raise RuntimeError("rejection sampling did not converge")
+    return out
 
 
 CORNER_DRAWS = random_inputs(np.random.default_rng(2024), 200)
@@ -295,6 +317,44 @@ class TestRandomInputs:
             assert abs(inputs.p) >= 0.1
             assert abs(inputs.theta) >= 2.0
             assert -1.0 <= inputs.upsilon <= 3.0
+
+    @pytest.mark.parametrize(
+        "count, options",
+        [
+            (1, {}),
+            (8, {}),
+            (50, {}),
+            (8, {"p_min": 1.9}),
+            (8, {"theta_min": 40.0}),
+            (8, {"p_min": math.nan}),  # rejects nothing: no |p| < nan
+            (8, {"theta_min": math.nan}),
+        ],
+        ids=["count1", "count8", "count50", "p_min1.9", "theta_min40", "p_min_nan",
+             "theta_min_nan"],
+    )
+    def test_blocks_match_scalar_loop(self, count, options):
+        def key(inputs):
+            reports = (view(inputs) for view in (bound_a2, bound_a3, fekete_szego_bound))
+            return repr(inputs), repr(inputs.theta), [
+                (repr(r.value), r.regime, r.flags) for r in reports
+            ]
+
+        for seed in range(200):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = random_inputs(rng, count, **options)
+            want = scalar_random_inputs(reference, count, **options)
+            assert [key(x) for x in got] == [key(x) for x in want]
+            assert got == want
+            assert rng.random() == reference.random()
+
+    def test_one_core_call_per_block(self, monkeypatch):
+        calls = []
+        core = bounds.bound_arrays
+        monkeypatch.setattr(bounds, "bound_arrays", lambda *a: calls.append(len(a[0])) or core(*a))
+        # verify's default draws and seed.  A block is as long as the count
+        # still missing: 5 of the first 50 rows are rejected, then 1 of 4.
+        assert len(random_inputs(np.random.default_rng(1729), 50)) == 50
+        assert calls == [50, 4, 1]
 
     def test_impossible_rejection_raises(self, monkeypatch):
         # gives up after exactly _MAX_TRIES tries of 6 draws each (3 params,
