@@ -64,6 +64,9 @@ _BLOCK_POINTS = 16_000
 # Tries (six draws each) random_inputs makes before it gives up on its count.
 _MAX_TRIES = 100_000
 
+# The (low, high) boxes of p, q and upsilon that random_inputs draws.
+_POINT_BOX = ((-2.0, 2.0), (-2.0, 2.0), (-1.0, 3.0))
+
 
 class SchwarzSample(NamedTuple):
     """One point of the constraint box, with ``s1 = -r1`` built in."""
@@ -253,19 +256,21 @@ def random_inputs(
 ) -> list[BoundInputs]:
     """Draw nondegenerate evaluation points for verification sweeps.
 
-    Rows come from :func:`draw_rows`, ``p, q`` uniform over ``[-2,2]`` and
-    ``upsilon`` over ``[-1,3]``, in blocks as long as the count still missing,
-    with one ``bound_arrays`` call per block; rows with ``|p| < p_min`` or
-    ``|theta| < theta_min`` are rejected so that every returned point is
-    safely away from the degenerate set; after ``_MAX_TRIES`` tries without
-    ``count`` accepted points it raises ``RuntimeError``.  The sequence is
-    fully determined by the generator state.
+    Rows come from :func:`draw_rows` with ``p, q, upsilon`` over
+    ``_POINT_BOX``, in blocks as long as the count still missing, with one
+    ``bound_arrays`` call per block; rows with ``|p| < p_min`` or ``|theta| <
+    theta_min`` are rejected so that every returned point is safely away
+    from the degenerate set.  It raises ``RuntimeError`` after ``_MAX_TRIES``
+    tries without ``count`` accepted points, and at once, drawing nothing,
+    when ``p_min`` exceeds every ``|p|`` of the box.  The sequence is fully
+    determined by the generator state.
     """
+    if count > 0 and p_min > max(map(abs, _POINT_BOX[0])):
+        raise RuntimeError("rejection sampling did not converge")
     out: list[BoundInputs] = []
     tries = 0
     while len(out) < count and tries < _MAX_TRIES:
-        block = draw_rows(rng, min(count - len(out), _MAX_TRIES - tries),
-                          (-2.0, 2.0), (-2.0, 2.0), (-1.0, 3.0))
+        block = draw_rows(rng, min(count - len(out), _MAX_TRIES - tries), *_POINT_BOX)
         tries += len(block)
         arrays = bnd.bound_arrays(*block.T)
         for i, (lam, mu, delta, p, q, upsilon) in enumerate(block.tolist()):

@@ -1,5 +1,6 @@
 """Closed-form bounds: golden values, regime tags, degeneracy flags, presets."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -7,7 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from pqlucas.bioperator import ClassParams
+try:
+    import sympy
+except ImportError:  # TestExactDecisions skips
+    sympy = None
+
+from pqlucas import bounds
+from pqlucas.bioperator import ClassParams, multipliers
 from pqlucas.lucas import PolyPair, lucas_sequence
 from pqlucas.bounds import (
     BOUNDARY_TOL,
@@ -27,21 +34,12 @@ BISTAR = preset("bistarlike")  # (lam, mu, delta) = (1, 0, 0): c1 = 1, c2 = 2
 
 
 # The scalar bounds as they were before the array core, kept only here as
-# a reference.  Each returns (value, regime, flags); theta is theirs too.
-
-def _ref_multipliers(params):
-    xi = (2.0 * params.lam + params.mu) / (2.0 * params.lam + 1.0)
-    c1 = params.mu + params.lam + 2.0 * xi * params.delta
-    c2 = params.mu + 2.0 * params.lam + 2.0 * xi * params.delta
-    return c1, c2
-
+# a reference.  Each returns (value, regime, flags).  They read c1, c2 and
+# mass from ClassParams but keep their own branches and theta = t1 - t2,
+# with Python's float ** where the core has _pow.
 
 def _ref_theta(params, p, q):
-    c1, _ = _ref_multipliers(params)
-    mass = (params.mu + 2.0 * params.lam) * (
-        1.0 + params.mu + 12.0 * params.delta / (2.0 * params.lam + 1.0)
-    )
-    t1, t2 = mass * p * p, 2.0 * c1**2 * (p * p + 2.0 * q)
+    t1, t2 = params.mass * p * p, 2.0 * params.c1**2 * (p * p + 2.0 * q)
     return t1 - t2, abs(t1 - t2) <= 1e-12 * max(1.0, abs(t1) + abs(t2))
 
 
@@ -61,13 +59,12 @@ def reference_a2(params, p, q, upsilon):
 def reference_a3(params, p, q, upsilon):
     if p == 0.0:
         return 0.0, "degenerate", (_P_ZERO,)
-    c1, c2 = _ref_multipliers(params)
-    return p * p / (c1 * c1) + abs(p) / c2, "case1", ()
+    return p * p / (params.c1 * params.c1) + abs(p) / params.c2, "case1", ()
 
 
 def reference_fekete(params, p, q, upsilon):
     th, theta_zero = _ref_theta(params, p, q)
-    _, c2 = _ref_multipliers(params)
+    c2 = params.c2
     if theta_zero:
         if upsilon == 1.0:
             return abs(p) / c2, "degenerate", (
@@ -101,9 +98,8 @@ def _key(value, regime, flags):
 
 def _theta_zero_q(lam, mu, delta, p):
     """The q that makes theta vanish (up to rounding) at these parameters."""
-    c1, _ = _ref_multipliers(ClassParams(lam, mu, delta))
-    mass = (mu + 2.0 * lam) * (1.0 + mu + 12.0 * delta / (2.0 * lam + 1.0))
-    return (mass * p * p / (2.0 * c1 * c1) - p * p) / 2.0
+    params = ClassParams(lam, mu, delta)
+    return (params.mass * p * p / (2.0 * params.c1 * params.c1) - p * p) / 2.0
 
 
 def _finite(lo, hi):
@@ -360,8 +356,6 @@ class TestArrayCore:
             assert _key(fs, REGIMES[regime], FLAG_SETS[fs_flags]) == want
 
     def test_inputs_evaluate_the_core_once(self, monkeypatch):
-        from pqlucas import bounds
-
         calls = []
         core = bounds.bound_arrays
         monkeypatch.setattr(bounds, "bound_arrays", lambda *a: calls.append(a) or core(*a))
@@ -424,8 +418,6 @@ class TestRowPath:
                 for i, point in enumerate(self.POINTS)][:5] == [False, False, True, True, True]
 
     def test_row_makes_no_core_call(self, monkeypatch):
-        from pqlucas import bounds
-
         block = self._block(self.POINTS)
         monkeypatch.setattr(bounds, "bound_arrays", None)
         assert BoundInputs(*self.POINTS[0], _row=block.row(0)).theta == -4.0
@@ -459,6 +451,21 @@ _TINY = 2.0**-1070  # above the absolute rounding of a subnormal product
 _NEAR = (0.0, 0.5, -0.5, 0.99, -0.99, 1.01, -1.01, 2.0, -2.0)
 
 
+@functools.cache
+def _exact_terms():
+    """``(c1, c2, t1, t2)`` of ``(lam, mu, delta, p, q)`` as one function.
+
+    The production ``multipliers`` and ``bounds._theta_terms`` are evaluated
+    once on sympy symbols and their float constants made rational, so
+    ``Fraction`` inputs give exact ``Fraction`` values.
+    """
+    symbols = sympy.symbols("lam mu delta p q")
+    _, c1, c2, mass = multipliers(*symbols[:3])
+    terms = (c1, c2, *bounds._theta_terms(mass, c1, *symbols[3:]))
+    exprs = [sympy.nsimplify(np.asarray(t, dtype=object).item(), rational=True) for t in terms]
+    return sympy.lambdify(symbols, exprs, modules=[{}])
+
+
 def _exact_decisions(lam, mu, delta, p, q, upsilon):
     """Decisions of :func:`bound_arrays` in ``Fraction`` arithmetic.
 
@@ -473,11 +480,7 @@ def _exact_decisions(lam, mu, delta, p, q, upsilon):
     |t2|)`` at most, for the regime an absolute ``~ |phi| err / |theta|``.
     """
     lam, mu, delta, p, q, u = map(Fraction, (lam, mu, delta, p, q, upsilon))
-    xi = (2 * lam + mu) / (2 * lam + 1)
-    c1 = mu + lam + 2 * xi * delta
-    c2 = mu + 2 * lam + 2 * xi * delta
-    mass = (mu + 2 * lam) * (1 + mu + 12 * delta / (2 * lam + 1))
-    t1, t2 = mass * p * p, 2 * c1 * c1 * (p * p + 2 * q)
+    c1, c2, t1, t2 = _exact_terms()(lam, mu, delta, p, q)
     theta = t1 - t2
     err = 32 * _U * (abs(t1) + 2 * c1 * c1 * (p * p + 2 * abs(q))) + _TINY
     threshold = Fraction(THETA_TOL) * max(1, abs(t1) + abs(t2))
@@ -525,10 +528,9 @@ def _theta_level_q(lam, mu, delta, p, level):
     ``theta`` is affine in ``q`` and ``t1`` does not depend on it; near
     ``theta = 0`` the two terms are equal, so ``|t1| + |t2| = 2 t1``.
     """
-    c1, _ = _ref_multipliers(ClassParams(lam, mu, delta))
-    mass = (mu + 2.0 * lam) * (1.0 + mu + 12.0 * delta / (2.0 * lam + 1.0))
-    t1 = mass * p * p
-    return ((t1 - level * max(1.0, 2.0 * t1)) / (2.0 * c1 * c1) - p * p) / 2.0
+    params = ClassParams(lam, mu, delta)
+    t1 = params.mass * p * p
+    return ((t1 - level * max(1.0, 2.0 * t1)) / (2.0 * params.c1 * params.c1) - p * p) / 2.0
 
 
 def _boundary_upsilon(lam, mu, delta, p, q, offset, side):
@@ -538,6 +540,7 @@ def _boundary_upsilon(lam, mu, delta, p, q, offset, side):
     return 1.0 + side * (1.0 / (2.0 * params.c2) + offset) * abs(theta) / (p * p)
 
 
+@pytest.mark.skipif(sympy is None, reason="sympy is needed for the exact decisions")
 class TestExactDecisions:
     """theta_zero, regime and flag codes against a Fraction evaluation."""
 

@@ -721,12 +721,8 @@ class TestUsageErrors:
             prog = f"pqlucas {command}" if command else "pqlucas"
             assert err == f"{usage}{prog}: error: {message}\n"
 
-    def test_unconverged_draws_are_usage_error(self, capsys, monkeypatch):
-        # verify --draws 2 --p-min 3 gets here, but only after a long rejection loop
-        def give_up(*args, **kwargs):
-            raise RuntimeError("rejection sampling did not converge")
-
-        monkeypatch.setattr(cli, "random_inputs", give_up)
+    def test_unconverged_draws_are_usage_error(self, capsys):
+        # no |p| of the draw box reaches 3, so no draw is made
         code, out, err = run_exit(capsys, ["verify", "--draws", "2", "--p-min", "3"])
         assert (code, out, err) == (
             EXIT_USAGE, "", "error: rejection sampling did not converge\n"

@@ -1,10 +1,12 @@
-"""Exact symbolic checks of the operator coefficients and of ``theta``.
+"""Exact symbolic checks of the operator coefficients, ``theta`` and the oracle.
 
 The four operator coefficients (``[z^1]`` and ``[z^2]`` of ``D[f]`` and of
 ``D[f^{-1}]``) and the bound denominator ``theta`` are derived here with
 sympy from their definitions, in the symbols ``(lam, mu, delta, a2, a3, p,
 q)``.  The closed forms in ``bioperator`` and ``bounds`` are then evaluated
-on the same symbols, and the difference must simplify to exactly 0.
+on the same symbols, and the difference must simplify to exactly 0.  So
+must the oracle's reconstruction of ``a2^2``, ``a3`` and ``a3 - upsilon
+a2^2`` from the subordination coefficients those four coefficients give.
 """
 
 from types import SimpleNamespace
@@ -14,9 +16,9 @@ import pytest
 
 sympy = pytest.importorskip("sympy", reason="sympy is needed for the exact symbolic checks")
 
-from pqlucas import bioperator, bounds  # noqa: E402
+from pqlucas import bioperator, bounds, oracle  # noqa: E402
 
-lam, mu, delta, a2, a3, p, q = sympy.symbols("lam mu delta a2 a3 p q")
+lam, mu, delta, a2, a3, p, q, upsilon = sympy.symbols("lam mu delta a2 a3 p q upsilon")
 z, b2, b3 = sympy.symbols("z b2 b3")
 
 
@@ -43,6 +45,12 @@ def inverse_cubic():
     return z + solution[0][b2] * z**2 + solution[0][b3] * z**3
 
 
+def lucas_coefficients():
+    """``L1``, ``L2`` of the generating function ``(2 - p z)/(1 - p z - q z^2)``."""
+    lucas = sympy.series((2 - p * z) / (1 - p * z - q * z**2), z, 0, 3).removeO()
+    return lucas.coeff(z, 1), lucas.coeff(z, 2)
+
+
 @pytest.fixture(scope="module")
 def derived():
     direct = operator_coefficients(z + a2 * z**2 + a3 * z**3)
@@ -54,8 +62,8 @@ def derived():
 def symbolic_params():
     # The closed forms read only these attributes; ClassParams would turn
     # the symbols into floats.
-    _, c1, _, mass = bioperator.multipliers(lam, mu, delta)
-    return SimpleNamespace(lam=lam, mu=mu, delta=delta, c1=c1, mass=mass)
+    xi, c1, c2, mass = bioperator.multipliers(lam, mu, delta)
+    return SimpleNamespace(lam=lam, mu=mu, delta=delta, xi=xi, c1=c1, c2=c2, mass=mass)
 
 
 def exact(expr):
@@ -90,8 +98,7 @@ def test_theta(derived, symbolic_params):
     #   [w] D[f^-1] = L1 v1,  [w^2] D[f^-1] = L1 v2 + L2 v1^2,
     # so v1 = -u1 and, with u1 = [z] D[f] / L1, summing the second-order
     # identities leaves theta a2^2 = L1^3 (u2 + v2).
-    lucas = sympy.series((2 - p * z) / (1 - p * z - q * z**2), z, 0, 3).removeO()
-    l1, l2 = lucas.coeff(z, 1), lucas.coeff(z, 2)
+    l1, l2 = lucas_coefficients()
     d1, d2, i1, i2 = derived
     assert sympy.expand(d1 + i1) == 0
     theta_a2_squared = sympy.expand(l1**2 * (d2 + i2) - 2 * l2 * d1**2)
@@ -100,3 +107,43 @@ def test_theta(derived, symbolic_params):
     t1, t2 = bounds._theta_terms(symbolic_params.mass, symbolic_params.c1, p, q)
     closed = exact(t1 - t2)
     assert sympy.simplify(theta_derived - closed) == 0
+
+
+@pytest.fixture(scope="module")
+def reconstructed(derived, symbolic_params):
+    """The oracle's three functionals at the ``(r1, r2, s2)`` of ``f``.
+
+    Subordination gives ``[z] D[f] = L1 r1`` and ``[z^2] D[f] = L1 r2 + L2
+    r1^2``, and the same on the inverse side with ``s1, s2``; solved for the
+    free coefficients and handed to the oracle with the production ``theta``.
+    """
+    l1, l2 = lucas_coefficients()
+    d1, d2, i1, i2 = derived
+    r1, s1 = d1 / l1, i1 / l1
+    r2, s2 = (d2 - l2 * r1**2) / l1, (i2 - l2 * s1**2) / l1
+    t1, t2 = bounds._theta_terms(symbolic_params.mass, symbolic_params.c1, p, q)
+    inputs = SimpleNamespace(p=p, theta=exact(t1 - t2), upsilon=upsilon, params=symbolic_params)
+    return {
+        "a2_sq": exact(oracle._a2_sq(inputs, r2, s2)),
+        "a3": exact(oracle._a3(inputs, r1, r2, s2)),
+        "fekete": exact(oracle._fekete(inputs, r1, r2, s2)),
+    }
+
+
+def test_reconstructed_a2_squared(reconstructed):
+    assert sympy.simplify(reconstructed["a2_sq"] - a2**2) == 0
+
+
+@pytest.mark.parametrize(
+    "at",
+    [
+        0,
+        pytest.param(delta, marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 3: with c2 = mu + 2 lam + 2 xi delta the reconstructed a3 "
+            "misses by -4 delta (a2^2 - a3)/(2 delta + 2 lam + 1)"))),
+    ],
+    ids=["delta0", "delta"],
+)
+def test_reconstructed_a3_and_fekete(reconstructed, at):
+    for name, want in (("a3", a3), ("fekete", a3 - upsilon * a2**2)):
+        assert sympy.simplify((reconstructed[name] - want).subs(delta, at)) == 0, name

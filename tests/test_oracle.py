@@ -358,11 +358,20 @@ class TestRandomInputs:
 
     def test_impossible_rejection_raises(self, monkeypatch):
         # gives up after exactly _MAX_TRIES tries of 6 draws each (3 params,
-        # p, q, upsilon), every one of them rejected since |p| <= 2 < p_min
+        # p, q, upsilon): p_min = 2 keeps only p = -2.0 exactly, which seed 1
+        # never draws
         monkeypatch.setattr(oracle, "_MAX_TRIES", 50)
         rng = np.random.default_rng(1)
         with pytest.raises(RuntimeError, match="did not converge"):
-            random_inputs(rng, 1, p_min=3.0)
+            random_inputs(rng, 1, p_min=2.0)
         reference = np.random.default_rng(1)
         reference.random(300)
         assert rng.random() == reference.random()
+
+    def test_p_min_outside_the_box_raises_before_drawing(self):
+        # every |p| of the box is <= 2, so p_min = 3 can never be met
+        rng = np.random.default_rng(1)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            random_inputs(rng, 1, p_min=3.0)
+        assert rng.random() == np.random.default_rng(1).random()
+        assert random_inputs(rng, 0, p_min=3.0) == []
