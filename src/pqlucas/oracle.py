@@ -257,26 +257,23 @@ def random_inputs(
     """Draw nondegenerate evaluation points for verification sweeps.
 
     Rows come from :func:`draw_rows` with ``p, q, upsilon`` over
-    ``_POINT_BOX``, in blocks as long as the count still missing, with one
-    ``bound_arrays`` call per block; rows with ``|p| < p_min`` or ``|theta| <
-    theta_min`` are rejected so that every returned point is safely away
-    from the degenerate set.  It raises ``RuntimeError`` after ``_MAX_TRIES``
-    tries without ``count`` accepted points, and at once, drawing nothing,
-    when ``p_min`` exceeds every ``|p|`` of the box.  The sequence is fully
-    determined by the generator state.
+    ``_POINT_BOX``, with one ``bound_arrays`` call per block: the first block
+    is ``count`` rows, each later one twice the one before, cut to the tries
+    left.  Rows with ``|p| < p_min`` or ``|theta| < theta_min`` are rejected
+    so that every returned point is safely away from the degenerate set.  It
+    raises ``ValueError`` after ``_MAX_TRIES`` tries without ``count``
+    accepted points.  The sequence is fully determined by the generator state.
     """
-    if count > 0 and p_min > max(map(abs, _POINT_BOX[0])):
-        raise RuntimeError("rejection sampling did not converge")
     out: list[BoundInputs] = []
-    tries = 0
+    tries, size = 0, count
     while len(out) < count and tries < _MAX_TRIES:
-        block = draw_rows(rng, min(count - len(out), _MAX_TRIES - tries), *_POINT_BOX)
-        tries += len(block)
+        block = draw_rows(rng, min(size, _MAX_TRIES - tries), *_POINT_BOX)
+        tries, size = tries + len(block), 2 * len(block)
         arrays = bnd.bound_arrays(*block.T)
-        for i, (lam, mu, delta, p, q, upsilon) in enumerate(block.tolist()):
-            if abs(p) < p_min or abs(arrays.theta[i]) < theta_min:
-                continue
+        reject = (np.abs(block[:, 3]) < p_min) | (np.abs(arrays.theta) < theta_min)
+        for i in np.flatnonzero(~reject)[: count - len(out)].tolist():
+            lam, mu, delta, p, q, upsilon = block[i].tolist()
             out.append(BoundInputs(ClassParams(lam, mu, delta), p, q, upsilon, _row=arrays.row(i)))
     if len(out) < count:
-        raise RuntimeError("rejection sampling did not converge")
+        raise ValueError("rejection sampling did not converge")
     return out

@@ -721,9 +721,13 @@ class TestUsageErrors:
             prog = f"pqlucas {command}" if command else "pqlucas"
             assert err == f"{usage}{prog}: error: {message}\n"
 
-    def test_unconverged_draws_are_usage_error(self, capsys):
-        # no |p| of the draw box reaches 3, so no draw is made
-        code, out, err = run_exit(capsys, ["verify", "--draws", "2", "--p-min", "3"])
+    @pytest.mark.parametrize(
+        "threshold", [["--p-min", "3"], ["--theta-min", "1e9"]], ids=["p_min", "theta_min"]
+    )
+    def test_unconverged_draws_are_usage_error(self, capsys, threshold):
+        # no draw of the box meets either threshold: all _MAX_TRIES rows are
+        # drawn and rejected
+        code, out, err = run_exit(capsys, ["verify", "--draws", "2", *threshold])
         assert (code, out, err) == (
             EXIT_USAGE, "", "error: rejection sampling did not converge\n"
         )

@@ -82,8 +82,16 @@ def scalar_random_inputs(rng, count, *, p_min=0.1, theta_min=2.0):
             continue
         out.append(inputs)
     if len(out) < count:
-        raise RuntimeError("rejection sampling did not converge")
+        raise ValueError("rejection sampling did not converge")
     return out
+
+
+def record_blocks(monkeypatch):
+    """The row count of every ``bounds.bound_arrays`` call from now on."""
+    blocks = []
+    core = bounds.bound_arrays
+    monkeypatch.setattr(bounds, "bound_arrays", lambda *a: blocks.append(np.size(a[0])) or core(*a))
+    return blocks
 
 
 CORNER_DRAWS = random_inputs(np.random.default_rng(2024), 200)
@@ -332,29 +340,35 @@ class TestRandomInputs:
         ids=["count1", "count8", "count50", "p_min1.9", "theta_min40", "p_min_nan",
              "theta_min_nan"],
     )
-    def test_blocks_match_scalar_loop(self, count, options):
+    def test_blocks_match_scalar_loop(self, monkeypatch, count, options):
         def key(inputs):
             reports = (view(inputs) for view in (bound_a2, bound_a3, fekete_szego_bound))
             return repr(inputs), repr(inputs.theta), [
                 (repr(r.value), r.regime, r.flags) for r in reports
             ]
 
+        blocks = record_blocks(monkeypatch)
         for seed in range(200):
-            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            blocks.clear()
+            rng = np.random.default_rng(seed)
             got = random_inputs(rng, count, **options)
-            want = scalar_random_inputs(reference, count, **options)
+            drawn = list(blocks)
+            want = scalar_random_inputs(np.random.default_rng(seed), count, **options)
             assert [key(x) for x in got] == [key(x) for x in want]
             assert got == want
+            # the first block is count rows, each later one twice the one before
+            assert drawn == [count << k for k in range(len(drawn))]
+            # six doubles a row (3 params, p, q, upsilon), rejected rows too
+            reference = np.random.default_rng(seed)
+            reference.random(6 * sum(drawn))
             assert rng.random() == reference.random()
 
     def test_one_core_call_per_block(self, monkeypatch):
-        calls = []
-        core = bounds.bound_arrays
-        monkeypatch.setattr(bounds, "bound_arrays", lambda *a: calls.append(len(a[0])) or core(*a))
-        # verify's default draws and seed.  A block is as long as the count
-        # still missing: 5 of the first 50 rows are rejected, then 1 of 4.
+        blocks = record_blocks(monkeypatch)
+        # verify's default draws and seed: 5 of the first 50 rows are
+        # rejected, and the next block, twice as long, has 5 to spare
         assert len(random_inputs(np.random.default_rng(1729), 50)) == 50
-        assert calls == [50, 4, 1]
+        assert blocks == [50, 100]
 
     def test_impossible_rejection_raises(self, monkeypatch):
         # gives up after exactly _MAX_TRIES tries of 6 draws each (3 params,
@@ -362,16 +376,25 @@ class TestRandomInputs:
         # never draws
         monkeypatch.setattr(oracle, "_MAX_TRIES", 50)
         rng = np.random.default_rng(1)
-        with pytest.raises(RuntimeError, match="did not converge"):
+        with pytest.raises(ValueError, match="did not converge"):
             random_inputs(rng, 1, p_min=2.0)
         reference = np.random.default_rng(1)
         reference.random(300)
         assert rng.random() == reference.random()
 
-    def test_p_min_outside_the_box_raises_before_drawing(self):
-        # every |p| of the box is <= 2, so p_min = 3 can never be met
+    @pytest.mark.parametrize(
+        "options", [{"p_min": 3.0}, {"theta_min": 1e9}], ids=["p_min3", "theta_min1e9"]
+    )
+    def test_unmeetable_threshold_raises_after_max_tries(self, monkeypatch, options):
+        # no |p| of the box reaches 3 and no |theta| reaches 1e9: blocks of
+        # 1, 2, 4, ..., 32768 rows, then the 34465 tries left
+        blocks = record_blocks(monkeypatch)
         rng = np.random.default_rng(1)
-        with pytest.raises(RuntimeError, match="did not converge"):
-            random_inputs(rng, 1, p_min=3.0)
-        assert rng.random() == np.random.default_rng(1).random()
-        assert random_inputs(rng, 0, p_min=3.0) == []
+        with pytest.raises(ValueError, match="did not converge"):
+            random_inputs(rng, 1, **options)
+        assert blocks == [1 << k for k in range(16)] + [34465]
+        assert sum(blocks) == oracle._MAX_TRIES
+        reference = np.random.default_rng(1)
+        reference.random(6 * oracle._MAX_TRIES)
+        assert rng.random() == reference.random()
+        assert random_inputs(rng, 0, **options) == []
