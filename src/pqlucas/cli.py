@@ -465,6 +465,10 @@ def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     return build_parser()
 
 
+_COMMANDS = {"lucas": cmd_lucas, "operator": cmd_operator, "member": cmd_member,
+             "bounds": cmd_table, "fekete": cmd_table, "verify": cmd_verify}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser, subparsers = _shared_parser()
     ns = parser.parse_args(argv)
@@ -485,13 +489,8 @@ def main(argv: list[str] | None = None) -> int:
         tokens = [f"{a.option_strings[0]}={config[a.dest]}"  # ahead of typed flags, which win
                   for a in subparsers[ns.command]._actions if a.dest in config]
         ns = parser.parse_args([*argv[:at + 1], *tokens, *argv[at + 1:]])
-    # Looked up per call, not stored in the parser that outlives this call,
-    # so a command function rebound on this module (a test double, a tracer)
-    # is the one that runs.
-    commands = {"lucas": cmd_lucas, "operator": cmd_operator, "member": cmd_member,
-                "bounds": cmd_table, "fekete": cmd_table, "verify": cmd_verify}
     try:
-        return commands[ns.command](ns)
+        return _COMMANDS[ns.command](ns)
     except (ValueError, MemoryError) as exc:
         # the table commands report with their usage text, as argparse does
         if ns.command in ("bounds", "fekete"):

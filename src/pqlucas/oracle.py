@@ -101,27 +101,14 @@ def _fekete(inputs: BoundInputs, r1, r2, s2):
     return head + _r2_minus_s2_term(inputs, r2, s2)
 
 
-# name -> (value at (r1, r2, s2) with s1 = -r1, name of its bound in bounds).
-# Bounds are looked up on the module, so a rebound bounds.bound_a2 is seen.
+# name -> (value at (r1, r2, s2) with s1 = -r1, its closed-form bound).
 _FUNCTIONAL_TABLE = {
-    "abs_a2": (_abs_a2, "bound_a2"),
-    "abs_a3": (_a3, "bound_a3"),
-    "fekete": (_fekete, "fekete_szego_bound"),
+    "abs_a2": (_abs_a2, bnd.bound_a2),
+    "abs_a3": (_a3, bnd.bound_a3),
+    "fekete": (_fekete, bnd.fekete_szego_bound),
 }
 
 FUNCTIONALS = tuple(_FUNCTIONAL_TABLE)
-
-
-def _functional(name: str):
-    try:
-        return _FUNCTIONAL_TABLE[name]
-    except KeyError:
-        raise ValueError(f"unknown functional: {name!r}") from None
-
-
-def closed_form_bound(inputs: BoundInputs, functional: str) -> float:
-    """The matching closed-form bound value for a functional."""
-    return getattr(bnd, _functional(functional)[1])(inputs).value
 
 
 @dataclass(frozen=True)
@@ -182,7 +169,9 @@ def sweep_max(
     broadcast call of the functional.  Ties resolve to the lexicographically
     smallest ``(r1, r2, s2)``.
     """
-    value_at = _functional(functional)[0]
+    if functional not in _FUNCTIONAL_TABLE:
+        raise ValueError(f"unknown functional: {functional!r}")
+    value_at, bound = _FUNCTIONAL_TABLE[functional]
     if mode not in MODES:
         raise ValueError(f"unknown mode: {mode!r}")
     if grid_n < 2:
@@ -211,7 +200,7 @@ def sweep_max(
         grid_n=grid_n,
         supremum=best_value,
         argmax=SchwarzSample(r1, r2, -r1, s2),
-        bound=closed_form_bound(inputs, functional),
+        bound=bound(inputs).value,
     )
 
 

@@ -796,6 +796,7 @@ class TestConfigAndOutput:
         defaults = {name: subparsers[command].get_default(name) for name in ("lam", "mu", "delta")}
         expected = ClassParams()
         assert defaults == {"lam": expected.lam, "mu": expected.mu, "delta": expected.delta}
+        assert set(cli._COMMANDS) == set(cli._shared_parser()[1])  # one command per subparser
 
     def test_config_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "defaults.cfg"
@@ -843,11 +844,6 @@ class TestConfigAndOutput:
         finally:
             cli._shared_parser.cache_clear()
         assert len(built) == 1
-
-    def test_rebound_command_runs(self, capsys, monkeypatch):
-        run(capsys, ["lucas", "--k", "1"])  # the shared parser exists now
-        monkeypatch.setattr(cli, "cmd_lucas", lambda ns: 7)
-        assert main(["lucas", "--k", "1"]) == 7
 
     def test_abbreviated_config_flag(self, capsys, tmp_path):
         # argparse accepts --conf for --config; the file was ignored before

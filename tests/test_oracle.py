@@ -15,7 +15,6 @@ from pqlucas.oracle import (
     MODES,
     SchwarzSample,
     SupremumReport,
-    closed_form_bound,
     random_inputs,
     sweep_max,
     verify_bounds,
@@ -27,6 +26,7 @@ BISTAR_11 = BoundInputs(preset("bistarlike"), p=1.0, q=1.0)  # theta = -4
 def reference_sweep(inputs, functional, grid_n, mode):
     """The sweep as one Python loop over r1 with scalar linspace axes."""
     value_at = oracle._FUNCTIONAL_TABLE[functional][0]
+    bound_of = {"abs_a2": bound_a2, "abs_a3": bound_a3, "fekete": fekete_szego_bound}
     best_value = -math.inf
     best_key = (0.0, 0.0, 0.0)
     for r1 in np.linspace(-1.0, 1.0, grid_n):
@@ -48,7 +48,7 @@ def reference_sweep(inputs, functional, grid_n, mode):
         grid_n=grid_n,
         supremum=best_value,
         argmax=SchwarzSample(r1, r2, -r1, s2),
-        bound=closed_form_bound(inputs, functional),
+        bound=bound_of[functional](inputs).value,
     )
 
 
@@ -296,17 +296,14 @@ class TestVerifyBounds:
         assert verdict.all_pass
         assert verdict.passes == (True, True, True)
         assert tuple(r.functional for r in verdict.reports) == FUNCTIONALS
+        expected = (bound_a2(inputs).value, bound_a3(inputs).value, fekete_szego_bound(inputs).value)
+        assert tuple(r.bound for r in verdict.reports) == expected
+        assert expected == pytest.approx((1.0, 1.5, 1.0))
 
     def test_random_points_pass(self):
         rng = np.random.default_rng(99)
         for inputs in random_inputs(rng, 5):
             assert verify_bounds(inputs, grid_n=9).all_pass
-
-    def test_closed_form_bound_dispatch(self):
-        assert closed_form_bound(BISTAR_11, "abs_a2") == pytest.approx(1.0)
-        assert closed_form_bound(BISTAR_11, "abs_a3") == pytest.approx(1.5)
-        with pytest.raises(ValueError, match="unknown functional"):
-            closed_form_bound(BISTAR_11, "a4")
 
 
 class TestRandomInputs:
