@@ -155,7 +155,7 @@ class CoefficientIdentityReport:
     inverse ``w^2``.  ``direct`` is the expanded series of ``D[f]``.
     """
 
-    pipeline: tuple[complex, complex, complex, complex]
+    pipeline: tuple[float, float, float, float]
     closed_form: tuple[float, float, float, float]
     residuals: tuple[float, float, float, float]
     direct: TruncatedSeries

@@ -21,9 +21,9 @@ CSV uses RFC-4180-style CRLF rows; JSON tables are one object with a
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import json
+import math
 import os
 import statistics
 import sys
@@ -49,7 +49,7 @@ from .bounds import (
 )
 from .lucas import PolyPair, generating_series, lucas_sequence
 from .oracle import FUNCTIONALS, MODES, draw_rows, random_inputs, verify_bounds
-from .series import FunctionSpec, eval_poly, to_json_number
+from .series import FunctionSpec, eval_poly
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -101,7 +101,7 @@ def _range_type(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError("range steps must be >= 1")
     if stop < start:
         raise argparse.ArgumentTypeError("range stop must be >= start")
-    if not cmath.isfinite(stop - start):
+    if not math.isfinite(stop - start):
         raise argparse.ArgumentTypeError("range span must be finite")
     if steps == 1:
         return (start,)
@@ -124,7 +124,7 @@ def _int_at_least(low: int) -> Callable[[str], int]:
 
 def _not_nan(text: str) -> float:
     value = float(text)
-    if cmath.isnan(value):
+    if math.isnan(value):
         raise argparse.ArgumentTypeError("value must not be nan")
     return value
 
@@ -174,9 +174,9 @@ def cmd_lucas(ns: argparse.Namespace) -> int:
     for k in range(ns.k + 1):
         rec = seq.values[k]
         ser = gen.coefficient(k)
-        if not (cmath.isfinite(rec) and cmath.isfinite(ser)):
+        if not (math.isfinite(rec) and math.isfinite(ser)):
             raise ValueError(f"L_{k} must be finite: p(x) or q(x) is too large")
-        rows.append([k, rec, ser.real, abs(rec - ser)])
+        rows.append([k, rec, ser, abs(rec - ser)])
     passed = max(row[3] for row in rows) <= ns.tol
     if ns.format == "csv":
         rows = [[str(v) for v in row] for row in rows]
@@ -188,7 +188,7 @@ def cmd_lucas(ns: argparse.Namespace) -> int:
 
 def _identity_payload(params: ClassParams, f: FunctionSpec, tol: float) -> dict:
     report = extract_coefficient_identities(params, f)
-    if not all(cmath.isfinite(v) for v in report.pipeline + report.closed_form):
+    if not all(math.isfinite(v) for v in report.pipeline + report.closed_form):
         raise ValueError(
             "operator coefficients must be finite: a2, a3, lambda, mu or delta is too large"
         )
@@ -198,11 +198,11 @@ def _identity_payload(params: ClassParams, f: FunctionSpec, tol: float) -> dict:
         "delta": params.delta,
         "a2": f.coefficient(2),
         "a3": f.coefficient(3),
-        "series": [to_json_number(c) for c in report.direct.coeffs],
-        "coeff_z": to_json_number(report.pipeline[0]),
-        "coeff_z2": to_json_number(report.pipeline[1]),
-        "coeff_w": to_json_number(report.pipeline[2]),
-        "coeff_w2": to_json_number(report.pipeline[3]),
+        "series": list(report.direct.coeffs),
+        "coeff_z": report.pipeline[0],
+        "coeff_z2": report.pipeline[1],
+        "coeff_w": report.pipeline[2],
+        "coeff_w2": report.pipeline[3],
         "closed_forms": list(report.closed_form),
         "residuals": list(report.residuals),
         "max_residual": report.max_residual,

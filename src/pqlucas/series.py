@@ -1,4 +1,4 @@
-"""Truncated power-series arithmetic over complex coefficients.
+"""Truncated power-series arithmetic over real coefficients.
 
 A series is stored as the coefficient tuple ``(c0, ..., cN)`` of
 ``sum c_k z**k`` together with its truncation order ``N`` (implicit in the
@@ -15,9 +15,7 @@ compositional inverse of such specs.
 
 from __future__ import annotations
 
-import cmath
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,25 +39,25 @@ _ZERO_CONSTANT_TOL = 1e-12
 class TruncatedSeries:
     """Coefficients ``(c0, ..., cN)`` of a power series truncated at order N."""
 
-    coeffs: tuple[complex, ...]
+    coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if len(self.coeffs) == 0:
             raise ValueError("a truncated series needs at least the constant term")
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, k: int) -> complex:
+    def coefficient(self, k: int) -> float:
         """Coefficient of ``z**k``; ``k`` must not exceed the order."""
         if not 0 <= k <= self.order:
             raise IndexError(f"coefficient {k} outside truncation order {self.order}")
         return self.coeffs[k]
 
 
-def series(coeffs: Sequence[complex], order: int | None = None) -> TruncatedSeries:
+def series(coeffs: Sequence[float], order: int | None = None) -> TruncatedSeries:
     """Build a series from ascending coefficients, padded or cut to ``order``."""
     cs = list(coeffs)
     if order is None:
@@ -77,17 +75,23 @@ def add(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(tuple(s.coeffs[k] + t.coeffs[k] for k in range(n + 1)))
 
 
-def scale(s: TruncatedSeries, factor: complex) -> TruncatedSeries:
+def scale(s: TruncatedSeries, factor: float) -> TruncatedSeries:
     return TruncatedSeries(tuple(factor * c for c in s.coeffs))
+
+
+def _dot(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """``sum(x * y)`` over the shorter factor, added left to right from 0.0."""
+    # not sum(): from Python 3.12 on it compensates float rounding
+    acc = 0.0
+    for x, y in zip(xs, ys):
+        acc += x * y
+    return acc
 
 
 def mul(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product, truncated at the minimum order of the factors."""
     n = min(s.order, t.order)
-    out = []
-    for m in range(n + 1):
-        out.append(sum(s.coeffs[k] * t.coeffs[m - k] for k in range(m + 1)))
-    return TruncatedSeries(tuple(out))
+    return TruncatedSeries(tuple(_dot(s.coeffs, t.coeffs[m::-1]) for m in range(n + 1)))
 
 
 def div(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
@@ -95,7 +99,7 @@ def div(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
     if den.coeffs[0] == 0:
         raise ZeroDivisionError("series division requires nonzero constant term")
     n = min(num.order, den.order)
-    out: list[complex] = []
+    out: list[float] = []
     for m in range(n + 1):
         acc = num.coeffs[m]
         for k in range(m):
@@ -136,7 +140,7 @@ def pow_real(s: TruncatedSeries, exponent: float) -> TruncatedSeries:
         raise ValueError("pow_real requires unit constant term")
     n = s.order
     # l = log(s):  k*s_k = sum_{j=1..k} j*l_j*s_{k-j}
-    log_c = [cmath.log(c0)] + [0j] * n
+    log_c = [math.log(c0)] + [0.0] * n
     for k in range(1, n + 1):
         acc = k * s.coeffs[k]
         for j in range(1, k):
@@ -144,9 +148,9 @@ def pow_real(s: TruncatedSeries, exponent: float) -> TruncatedSeries:
         log_c[k] = acc / (k * c0)
     # e = exp(g) with g = exponent*l:  k*e_k = sum_{j=1..k} j*g_j*e_{k-j}
     g = [exponent * c for c in log_c]
-    exp_c = [cmath.exp(g[0])] + [0j] * n
+    exp_c = [math.exp(g[0])] + [0.0] * n
     for k in range(1, n + 1):
-        acc = 0j
+        acc = 0.0
         for j in range(1, k + 1):
             acc += j * g[j] * exp_c[k - j]
         exp_c[k] = acc / k
@@ -171,7 +175,7 @@ def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
     return acc
 
 
-def eval_poly(coeffs: Sequence[complex], x):
+def eval_poly(coeffs: Sequence[float], x):
     """Evaluate a dense ascending coefficient list at ``x`` (Horner).
 
     ``x`` may be a number or a numpy array, evaluated elementwise.
@@ -237,9 +241,9 @@ def revert_series(f: FunctionSpec, m: int) -> TruncatedSeries:
 
     Pass ``n`` reads only ``[z^n] g(f)``, so its Horner evaluation starts
     at ``b_{n-1}`` and keeps the level that adds ``b_k`` only through
-    order ``n - k``: about ``m^4/24`` complex multiply-adds in all, where a
+    order ``n - k``: about ``m^4/24`` multiply-adds in all, where a
     full ``compose`` per pass takes ``m^4/2``.  Every kept coefficient is
-    the same ``sum`` of the same products, in the same order, as in
+    the same sum of the same products, in the same order, as in
     ``compose``; the products left out are signed zeros while the values
     stay finite, so the result is the one ``compose`` gives bit for bit up
     to its first non-finite coefficient.
@@ -252,22 +256,15 @@ def revert_series(f: FunctionSpec, m: int) -> TruncatedSeries:
             f"(truncation {f.truncation})"
         )
     fs = f.to_series(m).coeffs
-    g = [0j] * (m + 1)
-    g[1] = 1.0 + 0j
+    g = [0.0] * (m + 1)
+    g[1] = 1.0
     # b_n enters g(f) at order n with unit weight, so peel one order per pass.
     for n in range(2, m + 1):
         level = [g[n - 1]]
         for k in range(n - 2, 0, -1):
-            # [z^i] of level * f; map stops at the shorter factor, which
+            # [z^i] of level * f; _dot stops at the shorter factor, which
             # leaves out only the f[0] term of the top coefficient.
-            level = [sum(map(operator.mul, level, fs[i::-1])) for i in range(n - k + 1)]
+            level = [_dot(level, fs[i::-1]) for i in range(n - k + 1)]
             level[0] += g[k]
-        g[n] -= sum(map(operator.mul, level, fs[n::-1]))
+        g[n] -= _dot(level, fs[n::-1])
     return TruncatedSeries(tuple(g))
-
-
-def to_json_number(c: complex) -> float | list[float]:
-    """A JSON-friendly complex number: a float when real, else ``[re, im]``."""
-    if c.imag == 0.0:
-        return c.real
-    return [c.real, c.imag]

@@ -165,6 +165,33 @@ class TestOperator:
             "a2, a3, lambda, mu or delta is too large\n"
         )
 
+    @pytest.mark.parametrize(
+        "a2, a3, closed_forms",
+        [
+            ("0", "0", [0.0, 0.0, -0.0, 0.0]),
+            ("-0.0", "0", [-0.0, 0.0, 0.0, 0.0]),
+            ("0", "-0.0", [0.0, -0.0, -0.0, 0.0]),
+            ("-0.0", "-0.0", [-0.0, -0.0, 0.0, 0.0]),
+        ],
+    )
+    def test_signed_zero_bytes(self, capsys, a2, a3, closed_forms):
+        # the pipeline's zeros print unsigned whatever the sign of a2 and a3;
+        # the closed forms keep the signs of their products
+        argv = ["operator", "--lambda", "2", "--mu", "0", "--delta", "0.3",
+                f"--a2={a2}", f"--a3={a3}"]
+        code, out, err = run(capsys, argv)
+        want = {
+            "lambda": 2.0, "mu": 0.0, "delta": 0.3, "a2": float(a2), "a3": float(a3),
+            "series": [1.0, 0.0, 0.0],
+            "coeff_z": 0.0, "coeff_z2": 0.0, "coeff_w": 0.0, "coeff_w2": 0.0,
+            "closed_forms": closed_forms,
+            "residuals": [0.0, 0.0, 0.0, 0.0],
+            "max_residual": 0.0,
+            "pass": True,
+        }
+        # json.dumps writes -0.0 with its sign, so the text pins every zero's sign
+        assert (code, out, err) == (EXIT_OK, json.dumps(want, indent=2) + "\n", "")
+
     def test_output_bytes(self, capsys):
         code, out, err = run(capsys, ["operator", "--seed", "7", "--draws", "20"])
         assert (code, err) == (EXIT_OK, "")

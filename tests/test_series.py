@@ -1,6 +1,5 @@
 """Truncated-series arithmetic: golden values, order bookkeeping, properties."""
 
-import cmath
 import math
 
 import numpy as np
@@ -8,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pqlucas import series as ps
+from pqlucas.bioperator import ClassParams, apply_operator
+from pqlucas.lucas import PolyPair, generating_series
 from pqlucas.series import FunctionSpec, TruncatedSeries
 
 
@@ -67,6 +68,35 @@ class TestBasics:
         s = ps.series([0.3, -0.7, 0.1])
         one = ps.series([1.0], order=2)
         assert max_abs_diff(ps.mul(s, one), s) == 0.0
+
+
+class TestRealCoefficients:
+    def test_every_result_holds_floats(self):
+        s = ps.series([1, 2, -3])
+        f = FunctionSpec((0.3, -0.2))
+        results = [
+            s,
+            ps.mul(s, s),
+            ps.div(s, s),
+            ps.pow_real(s, 0.5),
+            ps.compose(s, ps.series([0, 1, 1])),
+            ps.revert_series(f, 3),
+            generating_series(PolyPair((0.0, 1.0), (1.0,), 0.5), 6),
+            apply_operator(ClassParams(1.7, 0.9, 0.3), f),
+        ]
+        for result in results:
+            assert all(type(c) is float for c in result.coeffs), result
+
+    def test_complex_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            TruncatedSeries((1 + 2j,))
+
+    def test_products_add_left_to_right(self):
+        # [z^3] adds the products 1, 1e100, 1, -1e100 in that order; a
+        # compensated sum (builtin sum on floats from Python 3.12) gives 2.0
+        s = ps.series([1.0, 1.0, 1.0, 1.0])
+        t = ps.series([-1e100, 1.0, 1e100, 1.0])
+        assert ps.mul(s, t).coefficient(3) == 0.0
 
 
 class TestDerivative:
@@ -207,8 +237,8 @@ class TestReversion:
 def reference_revert(f: FunctionSpec, m: int) -> TruncatedSeries:
     """The reversion loop with one full ``compose`` per pass, kept as a reference."""
     fs = f.to_series(m)
-    g = [0j] * (m + 1)
-    g[1] = 1.0 + 0j
+    g = [0.0] * (m + 1)
+    g[1] = 1.0
     for n in range(2, m + 1):
         residual = ps.compose(TruncatedSeries(tuple(g)), fs)
         g[n] -= residual.coeffs[n]
@@ -246,7 +276,7 @@ class TestTruncatedHorner:
         want = reference_revert(f, m).coeffs
         assert len(got) == len(want) == m + 1
         for k, (x, y) in enumerate(zip(got, want)):
-            if not cmath.isfinite(y):
+            if not math.isfinite(y):
                 break
             assert repr(x) == repr(y), (k, x, y)
 
@@ -268,8 +298,8 @@ class TestTruncatedHorner:
         # Level b2 * f of pass 3 overflows at z^3, a coefficient pass 3 never
         # reads; times f(0) = 0 it turned b3 into NaN in the full composition.
         f = FunctionSpec((1e100, 1e250))
-        assert cmath.isnan(reference_revert(f, 3).coeffs[3])
-        assert ps.revert_series(f, 3).coeffs == (0j, 1 + 0j, -1e100 + 0j, -1e250 + 0j)
+        assert math.isnan(reference_revert(f, 3).coeffs[3])
+        assert ps.revert_series(f, 3).coeffs == (0.0, 1.0, -1e100, -1e250)
 
 
 def mp_revert(a, m, mpmath):
@@ -367,8 +397,3 @@ class TestRingAxioms:
         left = ps.mul(s, ps.add(t, u))
         right = ps.add(ps.mul(s, t), ps.mul(s, u))
         assert max_abs_diff(left, right) <= 1e-12
-
-
-def test_json_coefficients_real_and_complex():
-    assert [ps.to_json_number(c) for c in ps.series([1.0, 2.0]).coeffs] == [1.0, 2.0]
-    assert [ps.to_json_number(c) for c in ps.series([1.0 + 1.0j]).coeffs] == [[1.0, 1.0]]
